@@ -137,7 +137,7 @@ struct DecodeReport
     /** container.blocks[.ok|.failed|.<codec>], container.bytes.{in,out},
      *  container.block_regen_bytes histogram, merged kernel.* totals. */
     obs::CounterSnapshot work;
-    /** container.steals (parallel only). */
+    /** container.steals, container.batches (parallel only). */
     obs::CounterSnapshot runtime;
     u64 blocks = 0;
     u64 bytesOut = 0;
@@ -161,8 +161,8 @@ Status decodeSequential(ByteSpan frame, Bytes &out,
 
 /**
  * Parallel scheduler: fans the index's blocks out over @p workers
- * threads (a serve::ShardedWorkQueue with stealing, one reused
- * serve-style codec scratch per worker) and stitches the outputs into
+ * threads (a serve::Executor: work stealing, one reused codec scratch
+ * per worker) and stitches the outputs into
  * @p out at the index's regen offsets. Workers write disjoint output
  * ranges, so stitching needs no lock. @p workers is clamped to >= 1;
  * the result is byte-identical to decodeSequential() at any count.

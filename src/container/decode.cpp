@@ -18,13 +18,8 @@
 #include "container/container.h"
 
 #include <cstring>
-#include <mutex>
-#include <thread>
 
-#include "common/mem.h"
-#include "obs/kernel_stats.h"
-#include "serve/codec_context.h"
-#include "serve/queue.h"
+#include "serve/executor.h"
 
 namespace cdpu::container
 {
@@ -39,7 +34,7 @@ struct Plan
     FrameIndex index;
     ByteSpan data;               ///< The frame's data section.
     std::vector<u64> dstOffsets; ///< Prefix sums of regenSize.
-    std::string codecName;
+    std::string codecBlocksName; ///< container.blocks.<codec>
 };
 
 Result<Plan>
@@ -66,7 +61,8 @@ buildPlan(ByteSpan frame, const DecodeOptions &options)
         plan.dstOffsets.push_back(dst);
         dst += entry.regenSize;
     }
-    plan.codecName = codec::codecName(plan.index.codec);
+    plan.codecBlocksName =
+        "container.blocks." + codec::codecName(plan.index.codec);
     return plan;
 }
 
@@ -99,7 +95,7 @@ decodeBlock(serve::CodecContext &context, const Plan &plan,
     }
 
     work.counter("container.blocks").increment();
-    work.counter("container.blocks." + plan.codecName).increment();
+    work.counter(plan.codecBlocksName).increment();
     work.counter("container.bytes.in").add(entry.compSize);
     work.histogram("container.block_regen_bytes")
         .record(entry.regenSize);
@@ -119,16 +115,12 @@ decodeBlock(serve::CodecContext &context, const Plan &plan,
 
 void
 fillReport(DecodeReport *report, const Plan &plan, bool decoded_ok,
-           obs::CounterSnapshot work, obs::CounterSnapshot runtime,
-           const mem::KernelStats &kernel)
+           const serve::ExecutorCore &core)
 {
     if (!report)
         return;
-    obs::CounterRegistry kernel_registry;
-    obs::exportKernelStats(kernel_registry, kernel);
-    work.merge(kernel_registry.snapshot());
-    report->work = std::move(work);
-    report->runtime = std::move(runtime);
+    report->work = core.work();
+    report->runtime = core.runtime();
     report->blocks = plan.index.blocks.size();
     report->bytesOut = decoded_ok ? plan.index.totalRegenBytes : 0;
 }
@@ -141,6 +133,20 @@ firstFailure(const std::vector<Status> &statuses)
         if (!status.ok())
             return status;
     return Status::okStatus();
+}
+
+/** Decodes block @p i on @p worker. Workers write disjoint output
+ *  ranges and disjoint status slots; stitching needs no lock. */
+void
+decodeOn(serve::Worker &worker, const Plan &plan, std::size_t i,
+         Bytes &out, std::vector<Status> &statuses)
+{
+    worker.withWork([&](obs::CounterRegistry &registry) {
+        statuses[i] = decodeBlock(
+            worker.context(), plan, i,
+            out.data() + static_cast<std::size_t>(plan.dstOffsets[i]),
+            registry);
+    });
 }
 
 } // namespace
@@ -156,23 +162,17 @@ decodeSequential(ByteSpan frame, Bytes &out,
     if (!planned.ok())
         return planned.status();
     const Plan &plan = planned.value();
-
-    obs::CounterRegistry work;
-    const mem::KernelStats before = mem::kernelStats();
     out.resize(static_cast<std::size_t>(plan.index.totalRegenBytes));
 
-    serve::CodecContext context;
     std::vector<Status> statuses(plan.index.blocks.size());
-    for (std::size_t i = 0; i < plan.index.blocks.size(); ++i) {
-        statuses[i] = decodeBlock(
-            context, plan, i,
-            out.data() + static_cast<std::size_t>(plan.dstOffsets[i]),
-            work);
-    }
+    serve::ExecutorCore core(1, nullptr);
+    core.runAs(0, [&](serve::Worker &worker) {
+        for (std::size_t i = 0; i < statuses.size(); ++i)
+            decodeOn(worker, plan, i, out, statuses);
+    });
 
     Status verdict = firstFailure(statuses);
-    fillReport(report, plan, verdict.ok(), work.snapshot(),
-               obs::CounterSnapshot{}, mem::kernelStats().diff(before));
+    fillReport(report, plan, verdict.ok(), core);
     if (!verdict.ok())
         out.clear();
     return verdict;
@@ -191,62 +191,21 @@ decodeParallel(ByteSpan frame, unsigned workers, Bytes &out,
     if (!planned.ok())
         return planned.status();
     const Plan &plan = planned.value();
-
     out.resize(static_cast<std::size_t>(plan.index.totalRegenBytes));
-    const std::size_t blocks = plan.index.blocks.size();
-    std::vector<Status> statuses(blocks);
 
-    obs::ShardedCounterRegistry work_registry(workers);
-    obs::ShardedCounterRegistry runtime_registry(workers);
-    serve::ShardedWorkQueue<std::size_t> queue(
-        workers, /*shard_capacity=*/64,
-        serve::BackpressurePolicy::block);
-
-    std::mutex kernel_mutex;
-    mem::KernelStats kernel_total;
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-            serve::CodecContext context;
-            const mem::KernelStats before = mem::kernelStats();
-            std::size_t block = 0;
-            bool stolen = false;
-            u64 steals = 0;
-            while (queue.pop(w, block, &stolen)) {
-                if (stolen)
-                    ++steals;
-                // Workers write disjoint output ranges and disjoint
-                // status slots; stitching needs no lock.
-                work_registry.withShard(w, [&](auto &registry) {
-                    statuses[block] = decodeBlock(
-                        context, plan, block,
-                        out.data() + static_cast<std::size_t>(
-                                         plan.dstOffsets[block]),
-                        registry);
-                });
-            }
-            runtime_registry.withShard(w, [&](auto &registry) {
-                registry.counter("container.steals").add(steals);
-            });
-            const mem::KernelStats delta =
-                mem::kernelStats().diff(before);
-            std::lock_guard<std::mutex> lock(kernel_mutex);
-            kernel_total.merge(delta);
+    std::vector<Status> statuses(plan.index.blocks.size());
+    serve::Executor<std::size_t> executor(
+        workers, workers, /*shard_capacity=*/64,
+        serve::BackpressurePolicy::block, nullptr, "container",
+        [&](serve::Worker &worker, std::size_t &block) {
+            decodeOn(worker, plan, block, out, statuses);
         });
-    }
-
-    for (std::size_t i = 0; i < blocks; ++i)
-        queue.push(static_cast<unsigned>(i % workers), i);
-    queue.close();
-    for (std::thread &worker : pool)
-        worker.join();
+    for (std::size_t i = 0; i < statuses.size(); ++i)
+        executor.push(static_cast<unsigned>(i % workers), i);
+    executor.finish();
 
     Status verdict = firstFailure(statuses);
-    fillReport(report, plan, verdict.ok(),
-               work_registry.mergedSnapshot(),
-               runtime_registry.mergedSnapshot(), kernel_total);
+    fillReport(report, plan, verdict.ok(), executor);
     if (!verdict.ok())
         out.clear();
     return verdict;

@@ -44,8 +44,6 @@ struct TelemetryConfig
     u64 metricsEveryCalls = 0;
     /** Interval ring capacity for the engine's sampler. */
     std::size_t metricsCapacity = 256;
-    /** Record per-(codec, direction, size-class) latency histograms. */
-    bool dimensionedLatency = true;
 };
 
 class Telemetry

@@ -9,7 +9,17 @@ namespace cdpu::serve
 Status
 CodecContext::execute(const hcb::ReplayCall &call, ByteSpan &output)
 {
-    Status status = executeInto(call);
+    // A codec failure must come back as a Status, never unwind a
+    // serving thread — catch-all as the last line of defence even
+    // though registry codecs report through Status.
+    Status status = Status::okStatus();
+    try {
+        status = executeInto(call);
+    } catch (const std::exception &e) {
+        status = Status::internal(std::string("codec threw: ") + e.what());
+    } catch (...) {
+        status = Status::internal("codec threw a non-exception");
+    }
     if (!status.ok()) {
         // A failed call must not poison the reused scratch: streaming
         // drains accumulate partial output before the error surfaces,

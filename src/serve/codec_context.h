@@ -32,7 +32,8 @@ class CodecContext
      * valid until the next execute() on this context. Level/window
      * parameters outside a codec's legal range are clamped against the
      * registry's capability metadata, so any fleet-sampled call can
-     * execute on any codec.
+     * execute on any codec. An exception out of the codec comes back
+     * as an internal-error Status.
      */
     Status execute(const hcb::ReplayCall &call, ByteSpan &output);
 

@@ -7,10 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "codec/obs_bridge.h"
 #include "codec/registry.h"
-#include "obs/slo.h"
-#include "serve/codec_context.h"
 
 namespace cdpu::serve
 {
@@ -23,10 +20,18 @@ using Clock = std::chrono::steady_clock;
 /** Poll interval for the deadline admission policy's bounded wait. */
 constexpr auto kAdmitPollInterval = std::chrono::microseconds(100);
 
-std::string
-tenantCounterName(const char *family, u64 tenant)
+/** The `<family>.t<tenant>` counter, resolved once per tenant through
+ *  @p cache. Call under the lock of the shard @p registry belongs to. */
+obs::Counter &
+tenantCounter(std::unordered_map<u64, obs::Counter *> &cache,
+              obs::CounterRegistry &registry, const char *family,
+              u64 tenant)
 {
-    return std::string(family) + ".t" + std::to_string(tenant);
+    obs::Counter *&handle = cache[tenant];
+    if (!handle)
+        handle = &registry.counter(std::string(family) + ".t" +
+                                   std::to_string(tenant));
+    return *handle;
 }
 
 /**
@@ -107,12 +112,8 @@ struct Daemon::Connection
 struct Daemon::Job
 {
     std::shared_ptr<Connection> conn;
-    u64 requestId = 0;
     u64 tenantId = 0;
-    codec::CodecId codec = codec::CodecId::snappy;
-    codec::Direction direction = codec::Direction::compress;
-    i32 level = 0;
-    u32 windowLog = 0;
+    hcb::ReplayCall call; ///< id = request id; payload bound on the worker.
     Bytes payload;
     bool hasDeadline = false;
     Clock::time_point deadline{};
@@ -143,21 +144,6 @@ Daemon::start()
     if (config_.unixPath.empty() && !config_.tcpEnabled)
         return Status::invalid("daemon needs a unix path or TCP");
 
-    // The underlying queue blocks producers only under the block
-    // admission policy; drop and deadline need an immediate answer
-    // from push() so the reject path can respond to the client.
-    queue_ = std::make_unique<ShardedWorkQueue<Job>>(
-        config_.shards, config_.shardCapacity,
-        config_.admission == AdmissionPolicy::block
-            ? BackpressurePolicy::block
-            : BackpressurePolicy::drop);
-    work_ = std::make_unique<obs::ShardedCounterRegistry>(
-        config_.workers);
-    // One extra runtime shard: index `workers` belongs to the
-    // reader/admission threads (withShard serializes them on it).
-    runtime_ = std::make_unique<obs::ShardedCounterRegistry>(
-        config_.workers + 1);
-
     if (!config_.unixPath.empty()) {
         auto fd = listenUnix(config_.unixPath);
         CDPU_RETURN_IF_ERROR(fd.status());
@@ -184,9 +170,17 @@ Daemon::start()
             return Status::io("self-pipe O_NONBLOCK failed");
     }
 
-    workerThreads_.reserve(config_.workers);
-    for (unsigned w = 0; w < config_.workers; ++w)
-        workerThreads_.emplace_back([this, w] { workerLoop(w); });
+    // The queue blocks producers only under the block admission
+    // policy; drop and deadline need an immediate answer from push()
+    // so the reject path can respond to the client.
+    workerCells_ = std::vector<WorkerCells>(config_.workers);
+    executor_ = std::make_unique<Executor<Job>>(
+        config_.workers, config_.shards, config_.shardCapacity,
+        config_.admission == AdmissionPolicy::block
+            ? BackpressurePolicy::block
+            : BackpressurePolicy::drop,
+        config_.telemetry, "serve",
+        [this](Worker &worker, Job &job) { execute(worker, job); });
     acceptThread_ = std::thread([this] { acceptLoop(); });
 
     started_.store(true);
@@ -196,7 +190,6 @@ Daemon::start()
 void
 Daemon::acceptLoop()
 {
-    const unsigned admission_shard = config_.workers;
     for (;;) {
         // Reap readers that finished organically (client went away) so
         // a long-lived daemon does not accumulate joinable threads.
@@ -255,7 +248,7 @@ Daemon::acceptLoop()
                 continue;
             auto conn = std::make_shared<Connection>();
             conn->fd = std::move(accepted.value());
-            runtime_->withShard(admission_shard, [](auto &registry) {
+            admission_.withShard(0, [](auto &registry) {
                 registry.counter("serve.daemon.connections")
                     .increment();
             });
@@ -284,7 +277,6 @@ Daemon::sendError(const std::shared_ptr<Connection> &conn,
 void
 Daemon::connectionLoop(std::shared_ptr<Connection> conn)
 {
-    const unsigned admission_shard = config_.workers;
     for (;;) {
         WireRequest request;
         FrameReadOutcome outcome;
@@ -296,7 +288,7 @@ Daemon::connectionLoop(std::shared_ptr<Connection> conn)
             // stream cannot be resynchronized, so answer (best
             // effort — the request id may not have survived parsing)
             // and hang up.
-            runtime_->withShard(admission_shard, [](auto &registry) {
+            admission_.withShard(0, [](auto &registry) {
                 registry.counter("serve.daemon.malformed").increment();
             });
             sendError(conn, 0, WireCode::malformedRequest,
@@ -305,7 +297,7 @@ Daemon::connectionLoop(std::shared_ptr<Connection> conn)
         }
         if (outcome.wasEof)
             break; // Clean close between frames.
-        runtime_->withShard(admission_shard, [](auto &registry) {
+        admission_.withShard(0, [](auto &registry) {
             registry.counter("serve.daemon.requests").increment();
         });
         admit(conn, std::move(request));
@@ -321,21 +313,17 @@ void
 Daemon::admit(const std::shared_ptr<Connection> &conn,
               WireRequest &&request)
 {
-    const unsigned admission_shard = config_.workers;
-    auto countAdmission = [&](const char *name, bool per_tenant) {
-        const u64 tenant = request.tenantId;
-        runtime_->withShard(
-            admission_shard, [&](auto &registry) {
-                registry.counter(name).increment();
-                if (per_tenant)
-                    registry
-                        .counter(tenantCounterName(name, tenant))
-                        .increment();
-            });
+    auto countAdmission = [&](const char *name, TenantCache *tenant) {
+        admission_.withShard(0, [&](obs::CounterRegistry &registry) {
+            registry.counter(name).increment();
+            if (tenant)
+                tenantCounter(*tenant, registry, name, request.tenantId)
+                    .increment();
+        });
     };
 
     if (draining_.load()) {
-        countAdmission("serve.daemon.shutdown_rejects", false);
+        countAdmission("serve.daemon.shutdown_rejects", nullptr);
         sendError(conn, request.requestId, WireCode::shuttingDown,
                   "daemon is draining");
         return;
@@ -356,7 +344,7 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
         codec_id = Status::internal("codecFromName threw");
     }
     if (!codec_id.ok()) {
-        countAdmission("serve.daemon.unknown_codec", false);
+        countAdmission("serve.daemon.unknown_codec", nullptr);
         sendError(conn, request.requestId, WireCode::unknownCodec,
                   codec_id.status().message());
         return;
@@ -384,7 +372,7 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
         }
     }
     if (quota_reject) {
-        countAdmission("serve.daemon.quota_rejects", true);
+        countAdmission("serve.daemon.quota_rejects", &quotaRejects_);
         sendError(conn, request.requestId, WireCode::quotaExceeded,
                   quota_reject);
         return;
@@ -392,12 +380,12 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
 
     Job job;
     job.conn = conn;
-    job.requestId = request.requestId;
     job.tenantId = request.tenantId;
-    job.codec = codec_id.value();
-    job.direction = request.direction;
-    job.level = request.level;
-    job.windowLog = request.windowLog;
+    job.call.id = request.requestId;
+    job.call.codec = codec_id.value();
+    job.call.direction = request.direction;
+    job.call.level = request.level;
+    job.call.windowLog = request.windowLog;
     job.payload = std::move(request.payload);
     job.admitted = Clock::now();
     if (request.deadlineNs != 0) {
@@ -407,25 +395,25 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
     }
 
     const unsigned home = static_cast<unsigned>(conn->id);
-    const u64 request_id = job.requestId;
+    const u64 request_id = job.call.id;
 
     switch (config_.admission) {
       case AdmissionPolicy::block:
         // Lossless: a full shard backpressures this reader (and so
         // the client socket). push() fails only when the queue closed
         // under us mid-drain.
-        if (!queue_->push(home, std::move(job))) {
-            countAdmission("serve.daemon.shutdown_rejects", false);
+        if (!executor_->push(home, std::move(job))) {
+            countAdmission("serve.daemon.shutdown_rejects", nullptr);
             sendError(conn, request_id, WireCode::shuttingDown,
                       "daemon is draining");
         }
         return;
       case AdmissionPolicy::drop:
-        if (!queue_->push(home, std::move(job))) {
+        if (!executor_->push(home, std::move(job))) {
             // The Job (and its payload buffer) died with the failed
             // push; all that remains is to attribute the shed load to
             // the tenant it belonged to and answer.
-            countAdmission("serve.daemon.drops", true);
+            countAdmission("serve.daemon.drops", &drops_);
             sendError(conn, request_id, WireCode::overloaded,
                       "queue full (drop policy)");
         }
@@ -435,16 +423,17 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
         // tryPush leaves the job intact on failure, so the retry loop
         // never re-pushes a moved-from item.
         for (;;) {
-            if (queue_->tryPush(home, job))
+            if (executor_->tryPush(home, job))
                 return;
             if (draining_.load()) {
-                countAdmission("serve.daemon.shutdown_rejects", false);
+                countAdmission("serve.daemon.shutdown_rejects", nullptr);
                 sendError(conn, request_id, WireCode::shuttingDown,
                           "daemon is draining");
                 return;
             }
             if (job.hasDeadline && Clock::now() >= job.deadline) {
-                countAdmission("serve.daemon.deadline_rejects", true);
+                countAdmission("serve.daemon.deadline_rejects",
+                               &deadlineRejects_);
                 sendError(conn, request_id,
                           WireCode::deadlineExceeded,
                           "deadline expired before admission");
@@ -457,176 +446,63 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
 }
 
 void
-Daemon::workerLoop(unsigned worker)
+Daemon::execute(Worker &worker, Job &job)
 {
-    CodecContext context;
-    obs::Telemetry *tele = config_.telemetry;
-
-    // Dimensioned latency cells, pointer-cached per worker as in the
-    // replay engine — but sized lazily against the *live* registry
-    // count: a wire request naming a new pipeline spec grows the codec
-    // registry mid-run, and a fixed-at-start table would index out of
-    // bounds on the first call of the freshly admitted codec.
-    std::vector<obs::Histogram *> dim_cells;
-
-    Job job;
-    while (queue_->pop(worker, job)) {
-        const std::string codec_name = codec::codecName(job.codec);
-        const bool compressing =
-            job.direction == codec::Direction::compress;
-
-        if (job.hasDeadline && Clock::now() >= job.deadline) {
-            runtime_->withShard(worker, [&](auto &registry) {
-                registry.counter("serve.daemon.deadline_expired")
-                    .increment();
-                registry
-                    .counter(tenantCounterName(
-                        "serve.daemon.deadline_expired", job.tenantId))
-                    .increment();
-            });
-            sendError(job.conn, job.requestId,
-                      WireCode::deadlineExceeded,
-                      "deadline expired in queue");
-            job = Job(); // Release payload + connection promptly.
-            continue;
-        }
-
-        if (config_.workerDelayNs != 0)
-            std::this_thread::sleep_for(
-                std::chrono::nanoseconds(config_.workerDelayNs));
-
-        hcb::ReplayCall call;
-        call.id = job.requestId;
-        call.codec = job.codec;
-        call.direction = job.direction;
-        call.payload = ByteSpan(job.payload.data(),
-                                job.payload.size());
-        call.level = job.level;
-        call.windowLog = job.windowLog;
-
-        const auto started = Clock::now();
-        ByteSpan output;
-        Status status = Status::okStatus();
-        // A codec failure must be a wire response, never an unwound
-        // worker thread — catch-all as the last line of defence even
-        // though registry codecs report through Status.
-        try {
-            status = context.execute(call, output);
-        } catch (const std::exception &e) {
-            status = Status::internal(std::string("codec threw: ") +
-                                      e.what());
-        } catch (...) {
-            status = Status::internal("codec threw a non-exception");
-        }
-        const u64 service_ns = static_cast<u64>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - started)
-                .count());
-
-        // Work accounting: same names as the replay engine, so the
-        // SLO tracker, obsctl, and the benches read either source.
-        work_->withShard(worker, [&](auto &registry) {
-            registry.counter("serve.calls").increment();
-            registry.counter("serve.calls." + codec_name).increment();
-            registry
-                .counter(compressing ? "serve.calls.compress"
-                                     : "serve.calls.decompress")
+    WorkerCells &cells = workerCells_[worker.index()];
+    if (job.hasDeadline && Clock::now() >= job.deadline) {
+        worker.withRuntime([&](obs::CounterRegistry &registry) {
+            const char *name = "serve.daemon.deadline_expired";
+            registry.counter(name).increment();
+            tenantCounter(cells.expired, registry, name, job.tenantId)
                 .increment();
-            registry.counter("serve.bytes.in").add(job.payload.size());
-            registry.histogram("serve.call_bytes_in")
-                .record(job.payload.size());
-            registry
-                .counter(tenantCounterName("serve.tenant.calls",
-                                           job.tenantId))
-                .increment();
-            registry
-                .counter(tenantCounterName("serve.tenant.bytes_in",
-                                           job.tenantId))
-                .add(job.payload.size());
-            if (status.ok()) {
-                registry.counter("serve.bytes.out").add(output.size());
-                registry.histogram("serve.call_bytes_out")
-                    .record(output.size());
-            } else {
-                registry.counter("serve.failures").increment();
-            }
         });
-
-        // End-to-end latency (admission to response write) into the
-        // aggregate and dimensioned histograms.
-        const u64 latency_ns = static_cast<u64>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - job.admitted)
-                .count());
-        runtime_->withShard(worker, [&](auto &registry) {
-            registry.histogram("serve.latency_ns").record(latency_ns);
-            const unsigned dir = compressing ? 0 : 1;
-            const unsigned size_class =
-                obs::Histogram::bucketOf(job.payload.size());
-            const std::size_t index =
-                (static_cast<std::size_t>(job.codec) * 2 + dir) *
-                    obs::HistogramSnapshot::kBuckets +
-                size_class;
-            if (index >= dim_cells.size())
-                dim_cells.resize(codec::registeredCodecCount() * 2 *
-                                 obs::HistogramSnapshot::kBuckets);
-            obs::Histogram *&cell = dim_cells[index];
-            if (!cell)
-                cell = &registry.histogram(
-                    obs::dimensionedLatencyName(
-                        codec_name,
-                        compressing ? "compress" : "decompress",
-                        size_class));
-            cell->record(latency_ns);
-            registry.counter("serve.daemon.responses").increment();
-        });
-
-        if (tele) {
-            if (tele->flightEnabled()) {
-                obs::FlightEvent event;
-                event.id = job.requestId;
-                event.timestampNs = obs::SpanRecorder::nowNs();
-                event.kind = codec::flightKind(job.codec);
-                event.direction = codec::flightDirection(job.direction);
-                event.outcome = codec::flightOutcome(status);
-                event.bytesIn = job.payload.size();
-                event.bytesOut = output.size();
-                tele->flight().ring(worker).record(event);
-            }
-            if (!status.ok())
-                tele->noteFault(
-                    "daemon call " + std::to_string(job.requestId) +
-                        " (" + codec_name + " " +
-                        codec::directionName(job.direction) +
-                        "): " + status.message(),
-                    obs::SpanRecorder::nowNs());
-        }
-
-        WireResponse response;
-        response.requestId = job.requestId;
-        response.code = wireCodeFor(status);
-        response.serviceNs = service_ns;
-        if (status.ok()) {
-            response.payload.assign(output.begin(), output.end());
-        } else {
-            response.message = status.message();
-            if (response.message.size() >
-                config_.limits.maxMessageBytes)
-                response.message.resize(config_.limits.maxMessageBytes);
-        }
-        job.conn->send(response);
-        job = Job();
+        sendError(job.conn, job.call.id, WireCode::deadlineExceeded,
+                  "deadline expired in queue");
+        return;
     }
+
+    if (config_.workerDelayNs != 0)
+        std::this_thread::sleep_for(
+            std::chrono::nanoseconds(config_.workerDelayNs));
+
+    // serve.latency_ns runs from admission to codec completion (the
+    // response write is not included).
+    job.call.payload = ByteSpan(job.payload.data(), job.payload.size());
+    const CallResult result = worker.run(job.call, job.admitted);
+    worker.withWork([&](obs::CounterRegistry &registry) {
+        tenantCounter(cells.calls, registry, "serve.tenant.calls",
+                      job.tenantId)
+            .increment();
+        tenantCounter(cells.bytesIn, registry, "serve.tenant.bytes_in",
+                      job.tenantId)
+            .add(job.payload.size());
+    });
+    worker.withRuntime([&](obs::CounterRegistry &registry) {
+        if (!cells.responses)
+            cells.responses = &registry.counter("serve.daemon.responses");
+        cells.responses->increment();
+    });
+
+    if (!result.status.ok()) {
+        sendError(job.conn, job.call.id, wireCodeFor(result.status),
+                  result.status.message());
+        return;
+    }
+    WireResponse response;
+    response.requestId = job.call.id;
+    response.serviceNs = result.serviceNs;
+    response.payload.assign(result.output.begin(), result.output.end());
+    job.conn->send(response);
 }
 
 obs::CounterSnapshot
 Daemon::counters() const
 {
-    obs::CounterSnapshot merged;
-    if (work_)
-        merged = work_->mergedSnapshot();
-    if (runtime_)
-        merged.merge(runtime_->mergedSnapshot());
+    obs::CounterSnapshot merged = admission_.mergedSnapshot();
+    if (executor_) {
+        merged.merge(executor_->work());
+        merged.merge(executor_->runtime());
+    }
     return merged;
 }
 
@@ -670,19 +546,11 @@ Daemon::drain()
     }
 
     // Close the queue only after every producer (reader) is gone:
-    // pop() then returns false exactly when the queue is drained, so
+    // the executor then finishes exactly when the queue is drained, so
     // every admitted job executes before the workers exit.
-    if (queue_)
-        queue_->close();
-    for (auto &worker : workerThreads_)
-        if (worker.joinable())
-            worker.join();
-    workerThreads_.clear();
-
-    if (work_)
-        finalReport_.work = work_->mergedSnapshot();
-    if (runtime_)
-        finalReport_.runtime = runtime_->mergedSnapshot();
+    executor_->finish();
+    executor_->report(finalReport_);
+    finalReport_.runtime.merge(admission_.mergedSnapshot());
     const obs::CounterSnapshot &run = finalReport_.runtime;
     const obs::CounterSnapshot &work = finalReport_.work;
     finalReport_.connections = run.at("serve.daemon.connections");

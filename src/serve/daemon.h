@@ -6,21 +6,19 @@
  * pre-built batches, the Daemon accepts live wire-protocol traffic
  * (serve/wire.h) on unix-domain and TCP listeners, admits it through
  * the same BackpressurePolicy vocabulary the replay engine uses, and
- * drains it through a ShardedWorkQueue into per-worker CodecContexts —
- * one process, N cores, any registry codec including runtime-admitted
- * pipeline specs.
+ * runs it on a serve::Executor — one process, N cores, any registry
+ * codec including runtime-admitted pipeline specs.
  *
  * Threading model: one accept thread (poll over the listeners and a
- * shutdown self-pipe), one reader thread per connection, W worker
- * threads. Readers parse and admit frames; workers execute and write
- * responses (a per-connection write mutex serializes interleaved
- * responses; requests on one connection may complete out of order and
- * are matched by request id). Counters follow the engine's split:
- * deterministic work accounting (serve.calls*, serve.bytes.*) in the
- * work registry, scheduling-dependent events (latency, drops, quota
- * rejects) in the runtime registry, every drop/reject attributed to
- * its tenant so load shedding is visible per customer, not just in
- * aggregate.
+ * shutdown self-pipe), one reader thread per connection, and the
+ * executor's W worker threads. Readers parse and admit frames; workers
+ * execute through the executor's per-call step and write responses (a
+ * per-connection write mutex serializes interleaved responses;
+ * requests on one connection may complete out of order and are matched
+ * by request id). Counters follow the executor's work/runtime split;
+ * admission events (drops, quota rejects) land in a separate runtime
+ * registry, every drop/reject attributed to its tenant so load
+ * shedding is visible per customer, not just in aggregate.
  *
  * Admission control (DESIGN.md §16):
  *  - block: a full queue backpressures the reader (and so the client's
@@ -44,11 +42,12 @@
 #include <map>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 
 #include "obs/counters.h"
 #include "obs/telemetry.h"
+#include "serve/executor.h"
 #include "serve/net.h"
-#include "serve/queue.h"
 
 namespace cdpu::serve
 {
@@ -93,13 +92,14 @@ struct DaemonConfig
     /** Tenant id -> budget; tenants absent here are unlimited. */
     std::map<u64, TenantQuota> quotas;
 
-    /** Optional hub (not owned; must outlive the daemon): failed calls
-     *  land in the flight ring and the first failure freezes a fault
-     *  dump, mirroring the replay engine's wiring. */
+    /** Optional hub (not owned; must outlive the daemon): spans
+     *  sampled by request id, flight events, a fault dump on the first
+     *  failure, and metrics samples every metricsEveryCalls calls. */
     obs::Telemetry *telemetry = nullptr;
 
-    /** Artificial per-call service time (busy-wait), used by tests and
-     *  benches to build deterministic backlog. 0 in production. */
+    /** Artificial per-call service time (the worker sleeps), used by
+     *  tests and benches to build deterministic backlog. 0 in
+     *  production. */
     u64 workerDelayNs = 0;
 };
 
@@ -107,12 +107,21 @@ struct DaemonConfig
 struct DaemonReport
 {
     /** Deterministic work: serve.calls*, serve.bytes.*,
-     *  serve.failures, call-size histograms — same names as the
-     *  replay engine so obsctl and the SLO tracker read both. */
+     *  serve.failures, call-size histograms, kernel.* and the
+     *  serve.tenant.* bills — the executor's names, so obsctl and the
+     *  SLO tracker read replay and daemon output alike. */
     obs::CounterSnapshot work;
     /** Scheduling- and admission-dependent: serve.latency_ns (+
-     *  dimensioned cells), serve.daemon.* admission events. */
+     *  dimensioned cells), serve.steals, serve.batches, serve.daemon.*
+     *  admission events. */
     obs::CounterSnapshot runtime;
+
+    /** As in ReplayReport: the metrics series (JSON null unless the
+     *  hub samples metrics), its floor(executed / metricsEveryCalls)
+     *  sample count, and the spans sampled by request id. */
+    obs::JsonValue metricsSeries;
+    u64 metricsSamples = 0;
+    u64 spansSampled = 0;
 
     u64 connections = 0;
     u64 requests = 0; ///< Frames that parsed and reached admission.
@@ -155,10 +164,21 @@ class Daemon
   private:
     struct Connection;
     struct Job;
+    /** Tenant id -> one `<family>.t<id>` handle in one registry shard,
+     *  so no per-call path builds a counter name. */
+    using TenantCache = std::unordered_map<u64, obs::Counter *>;
+    /** A worker's handles into its own shards. */
+    struct WorkerCells
+    {
+        TenantCache calls, bytesIn, expired;
+        obs::Counter *responses = nullptr;
+    };
 
     void acceptLoop();
     void connectionLoop(std::shared_ptr<Connection> conn);
-    void workerLoop(unsigned worker);
+    /** The executor's handler: deadline re-check, tenant billing, the
+     *  shared per-call step, and the response write. */
+    void execute(Worker &worker, Job &job);
 
     /** Admission pipeline for one parsed request; always answers the
      *  client exactly once (enqueue or reject). */
@@ -174,12 +194,13 @@ class Daemon
     u16 boundTcpPort_ = 0;
     Fd wakeRead_, wakeWrite_; ///< Self-pipe: drain() wakes acceptLoop.
 
-    std::unique_ptr<ShardedWorkQueue<Job>> queue_;
-    std::unique_ptr<obs::ShardedCounterRegistry> work_;
-    std::unique_ptr<obs::ShardedCounterRegistry> runtime_;
+    /** Reader-side counters; the reject caches only under its lock. */
+    obs::ShardedCounterRegistry admission_{1};
+    TenantCache quotaRejects_, drops_, deadlineRejects_;
+    std::vector<WorkerCells> workerCells_; ///< By Worker::index().
+    std::unique_ptr<Executor<Job>> executor_;
 
     std::thread acceptThread_;
-    std::vector<std::thread> workerThreads_;
 
     mutable std::mutex connMutex_;
     std::vector<std::shared_ptr<Connection>> connections_;

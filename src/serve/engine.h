@@ -4,10 +4,9 @@
  *
  * Replays a CallStream — the unit of serving work in the paper's fleet
  * analysis (Section 3: independent (de)compression calls, not files) —
- * through a fixed pool of worker threads. Each worker owns a codec
- * context and a home shard of the work queue, steals when its shard
- * runs dry, and publishes observability into per-worker shards of a
- * ShardedCounterRegistry.
+ * through a serve::Executor: the engine is the producer (call batches
+ * round-robin over the queue shards) and fills one CallOutcome per
+ * call from the executor's per-call step.
  *
  * Determinism contract: with the block backpressure policy, the
  * *work* a replay performs is a pure function of the stream — every
@@ -51,12 +50,12 @@ struct EngineConfig
     /**
      * Optional telemetry hub (not owned; must outlive the run). Null
      * is the compiled-in-but-idle configuration: no spans, no flight
-     * events, no metrics samples, no per-call cost. With a hub:
-     * per-call spans sampled on call id (deterministic across worker
-     * counts), flight events into the worker's ring, dimensioned
-     * latency histograms, metrics samples every
+     * events, no metrics samples. With a hub: per-call spans sampled
+     * on call id (deterministic across worker counts), flight events
+     * into the worker's ring, metrics samples every
      * config.metricsEveryCalls completed calls, and a fault dump on
-     * the first failed call.
+     * the first failed call. Dimensioned latency histograms are
+     * recorded either way.
      */
     obs::Telemetry *telemetry = nullptr;
 };
@@ -81,8 +80,8 @@ struct ReplayReport
      *  counts under the block policy. */
     obs::CounterSnapshot work;
 
-    /** Scheduling-dependent accounting: serve.latency_ns,
-     *  serve.steals, serve.drops, serve.batches. */
+    /** Scheduling-dependent accounting: serve.latency_ns (+
+     *  dimensioned cells), serve.steals, serve.drops, serve.batches. */
     obs::CounterSnapshot runtime;
 
     /** Merged per-thread fast-path stats (also exported into work). */

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -26,6 +27,8 @@
 #include "serve/client.h"
 #include "serve/codec_context.h"
 #include "serve/daemon.h"
+#include "serve/engine.h"
+#include "serve/stream_builder.h"
 
 namespace cdpu::serve
 {
@@ -255,6 +258,70 @@ TEST(DaemonTest, WireMatchesDirectRegistryForEveryCodec)
         EXPECT_EQ(report.work.at("serve.calls." + codec::codecName(id)),
                   2u);
     EXPECT_GT(report.work.at("serve.bytes.in"), 0u);
+}
+
+TEST(DaemonTest, WorkCountersMatchSequentialReplay)
+{
+    // The daemon runs the replay oracle's per-call step, so the same
+    // calls sent over the wire must bill the same deterministic work:
+    // call and byte counters, call-size histograms and kernel.* totals.
+    StreamConfig stream_config;
+    stream_config.calls = 40;
+    stream_config.minCallBytes = 256;
+    stream_config.maxCallBytes = 6 * kKiB;
+    stream_config.seed = 17;
+    Result<hcb::CallStream> stream = buildMixedStream(stream_config);
+    ASSERT_TRUE(stream.ok());
+    const ReplayReport reference = replaySequential(stream.value());
+    ASSERT_EQ(reference.failed, 0u);
+
+    DaemonConfig config;
+    config.unixPath = testSocketPath("work-counters");
+    config.workers = 3;
+    Daemon daemon(config);
+    ASSERT_TRUE(daemon.start().ok());
+    {
+        Result<DaemonClient> client =
+            DaemonClient::connectToUnix(config.unixPath);
+        ASSERT_TRUE(client.ok());
+        for (const hcb::ReplayCall &call : stream.value().calls()) {
+            Result<WireResponse> response =
+                client.value().call(makeRequest(
+                    call.id + 1, codec::codecName(call.codec),
+                    call.direction,
+                    Bytes(call.payload.begin(), call.payload.end()),
+                    call.level, call.windowLog));
+            ASSERT_TRUE(response.ok());
+            ASSERT_EQ(response.value().code, WireCode::ok)
+                << response.value().message;
+        }
+    }
+    const DaemonReport report = daemon.drain();
+    ASSERT_EQ(report.executed, stream.value().size());
+
+    const auto deterministic = [](const obs::CounterSnapshot &work) {
+        std::map<std::string, u64> kept;
+        for (const auto &[name, value] : work.counters)
+            if (name.starts_with("serve.calls") ||
+                name.starts_with("serve.bytes.") ||
+                name.starts_with("kernel."))
+                kept[name] = value;
+        return kept;
+    };
+    const std::map<std::string, u64> want = deterministic(reference.work);
+    ASSERT_TRUE(want.contains("kernel.mem.wild_copy_bytes"));
+    EXPECT_EQ(deterministic(report.work), want);
+
+    ASSERT_FALSE(reference.work.histograms.empty());
+    for (const auto &[name, hist] : reference.work.histograms) {
+        SCOPED_TRACE(name);
+        const obs::HistogramSnapshot &got = report.work.histogramAt(name);
+        EXPECT_EQ(got.count, hist.count);
+        EXPECT_EQ(got.sum, hist.sum);
+        EXPECT_EQ(got.min, hist.min);
+        EXPECT_EQ(got.max, hist.max);
+        EXPECT_EQ(got.buckets, hist.buckets);
+    }
 }
 
 TEST(DaemonTest, RuntimeAdmittedPipelineSpecGrowsTheRegistry)
@@ -846,6 +913,60 @@ TEST(DaemonTest, SloTrackerReadsTheDrainedLatencyHistograms)
     }
     EXPECT_EQ(report.runtime.histogramAt("serve.latency_ns").count,
               6u);
+}
+
+// --- Daemon: telemetry hub -------------------------------------------
+
+TEST(DaemonTest, AttachedHubSamplesSpansAndMetricsByRequest)
+{
+    obs::TelemetryConfig tc;
+    tc.spanSamplePeriod = 4;
+    tc.metricsEveryCalls = 8;
+    obs::Telemetry tele(tc, 2, codec::codecFlightNamer());
+
+    DaemonConfig config;
+    config.unixPath = testSocketPath("telemetry");
+    config.workers = 2;
+    config.telemetry = &tele;
+    Daemon daemon(config);
+    ASSERT_TRUE(daemon.start().ok());
+
+    const u64 kRequests = 30;
+    {
+        Result<DaemonClient> client =
+            DaemonClient::connectToUnix(config.unixPath);
+        ASSERT_TRUE(client.ok());
+        for (u64 id = 1; id <= kRequests; ++id) {
+            Result<WireResponse> response =
+                client.value().call(makeRequest(
+                    id, "snappy", codec::Direction::compress,
+                    samplePayload(512, 40 + id)));
+            ASSERT_TRUE(response.ok());
+            ASSERT_EQ(response.value().code, WireCode::ok);
+        }
+    }
+    const DaemonReport report = daemon.drain();
+    ASSERT_EQ(report.executed, kRequests);
+
+    // Spans are sampled on the request id: exactly the ids on the
+    // period, whichever worker ran them.
+    std::set<u64> want_keys;
+    for (u64 id = 1; id <= kRequests; ++id)
+        if (id % tc.spanSamplePeriod == 0)
+            want_keys.insert(id);
+    std::set<u64> got_keys;
+    for (const obs::SpanRecord &record : tele.spans().records())
+        got_keys.insert(record.key);
+    EXPECT_EQ(report.spansSampled, want_keys.size());
+    EXPECT_EQ(got_keys, want_keys);
+
+    // Metrics are clocked on executed calls: floor(N / every).
+    EXPECT_EQ(report.metricsSamples, kRequests / tc.metricsEveryCalls);
+    ASSERT_TRUE(report.metricsSeries.has("metrics_series"));
+    EXPECT_EQ(report.metricsSeries.at("metrics_series")
+                  .at("samples")
+                  .asU64(),
+              kRequests / tc.metricsEveryCalls);
 }
 
 } // namespace

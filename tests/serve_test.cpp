@@ -581,21 +581,27 @@ TEST(ReplayTelemetryTest, DimensionedCellsCoverEveryCall)
     obs::TelemetryConfig tc;
     tc.spanSamplePeriod = 0;
     obs::Telemetry tele(tc, 2, codec::codecFlightNamer());
-    EngineConfig config;
-    config.workers = 2;
-    config.telemetry = &tele;
-    ReplayEngine engine(config);
-    ReplayReport report = engine.run(stream.value());
-    ASSERT_EQ(report.executed, 64u);
+    // The cells are recorded with or without a hub (the SLO tracker
+    // reads them from any drained report).
+    obs::Telemetry *const hubs[] = {&tele, nullptr};
+    for (obs::Telemetry *hub : hubs) {
+        SCOPED_TRACE(hub ? "hub attached" : "no hub");
+        EngineConfig config;
+        config.workers = 2;
+        config.telemetry = hub;
+        ReplayEngine engine(config);
+        ReplayReport report = engine.run(stream.value());
+        ASSERT_EQ(report.executed, 64u);
 
-    // Every executed call lands in exactly one
-    // serve.latency_ns.by.<codec>.<direction>.sz<class> cell.
-    u64 total = 0;
-    for (const auto &[name, hist] : report.runtime.histograms) {
-        if (name.rfind("serve.latency_ns.by.", 0) == 0)
-            total += hist.count;
+        // Every executed call lands in exactly one
+        // serve.latency_ns.by.<codec>.<direction>.sz<class> cell.
+        u64 total = 0;
+        for (const auto &[name, hist] : report.runtime.histograms) {
+            if (name.rfind("serve.latency_ns.by.", 0) == 0)
+                total += hist.count;
+        }
+        EXPECT_EQ(total, report.executed);
     }
-    EXPECT_EQ(total, report.executed);
 }
 
 TEST(ReplayTelemetryTest, FailedCallFreezesFlightDump)
