@@ -71,17 +71,18 @@ class BufferedCompressSession final : public CompressSession
     Status failed_;
 };
 
-/** Accumulates compressed bytes; decompresses once at finish(). The
- *  underlying whole-buffer decoder rejects truncated frames, so the
- *  session's truncation-is-corruption contract holds. */
+/** Accumulates compressed bytes; decompresses once at finish(),
+ *  passing the session's output limit through. The underlying
+ *  whole-buffer decoder rejects truncated frames, so the session's
+ *  truncation-is-corruption contract holds. */
 class BufferedDecompressSession final : public DecompressSession
 {
   public:
-    using DecompressFn =
-        std::function<Status(ByteSpan input, Bytes &out)>;
+    using DecompressFn = std::function<Status(
+        ByteSpan input, Bytes &out, u64 max_output_bytes)>;
 
-    explicit BufferedDecompressSession(DecompressFn fn)
-        : fn_(std::move(fn))
+    BufferedDecompressSession(DecompressFn fn, u64 max_output_bytes)
+        : fn_(std::move(fn)), maxOutputBytes_(max_output_bytes)
     {
     }
 
@@ -98,7 +99,8 @@ class BufferedDecompressSession final : public DecompressSession
         if (finished_)
             return failed_;
         finished_ = true;
-        failed_ = fn_(ByteSpan(in_.data(), in_.size()), out_);
+        failed_ = fn_(ByteSpan(in_.data(), in_.size()), out_,
+                      maxOutputBytes_);
         return failed_;
     }
 
@@ -112,6 +114,7 @@ class BufferedDecompressSession final : public DecompressSession
 
   private:
     DecompressFn fn_;
+    u64 maxOutputBytes_;
     Bytes in_;
     Bytes out_;
     bool finished_ = false;

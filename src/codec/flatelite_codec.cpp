@@ -29,9 +29,10 @@ flateliteCompressInto(ByteSpan input, const CodecParams &params,
 }
 
 Status
-flateliteDecompressInto(ByteSpan input, Bytes &out)
+flateliteDecompressInto(ByteSpan input, Bytes &out, u64 max_output_bytes)
 {
-    return flatelite::decompressInto(input, out);
+    return flatelite::decompressInto(input, out, nullptr,
+                                     max_output_bytes);
 }
 
 std::size_t
@@ -50,10 +51,10 @@ makeFlateCompressSession(const CodecParams &params)
 }
 
 std::unique_ptr<DecompressSession>
-makeFlateDecompressSession()
+makeFlateDecompressSession(u64 max_output_bytes)
 {
     return std::make_unique<BufferedDecompressSession>(
-        flateliteDecompressInto);
+        flateliteDecompressInto, max_output_bytes);
 }
 
 } // namespace

@@ -26,9 +26,9 @@ gipfeliCompressInto(ByteSpan input, const CodecParams & /*params*/,
 }
 
 Status
-gipfeliDecompressInto(ByteSpan input, Bytes &out)
+gipfeliDecompressInto(ByteSpan input, Bytes &out, u64 max_output_bytes)
 {
-    return gipfeli::decompressInto(input, out);
+    return gipfeli::decompressInto(input, out, max_output_bytes);
 }
 
 std::size_t
@@ -47,10 +47,10 @@ makeGipfeliCompressSession(const CodecParams &params)
 }
 
 std::unique_ptr<DecompressSession>
-makeGipfeliDecompressSession()
+makeGipfeliDecompressSession(u64 max_output_bytes)
 {
     return std::make_unique<BufferedDecompressSession>(
-        gipfeliDecompressInto);
+        gipfeliDecompressInto, max_output_bytes);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
  * by the validated claim) holds end to end.
  */
 
+#include <limits>
 #include <numeric>
 
 #include "codec/adapter_sessions.h"
@@ -59,6 +60,25 @@ foldExpansion(u64 &num, u64 &den, u64 &slop, u64 a, u64 b, u64 s)
         num = ceilDiv(num, 2);
         den /= 2;
     }
+}
+
+/**
+ * The output limit on the encoded form of stages [0, @p count) when
+ * the pipeline's output is held to @p limit: each stage's
+ * maxEncodedSize, saturating instead of wrapping (it adds at most a
+ * fraction of its input, so it cannot wrap below a quarter of the
+ * range).
+ */
+u64
+stagedLimit(const std::vector<transform::StageId> &stages,
+            std::size_t count, u64 limit)
+{
+    constexpr u64 kMax = std::numeric_limits<u64>::max();
+    for (std::size_t i = 0; i < count; ++i)
+        limit = limit > kMax / 4
+                    ? kMax
+                    : transform::maxEncodedSize(stages[i], limit);
+    return limit;
 }
 
 CodecCaps
@@ -116,15 +136,21 @@ makePipelineVTable(const CodecSpec &spec)
         return terminal->compressInto(view, params, out);
     };
 
-    vtable->decompressInto = [stages, terminal](ByteSpan input,
-                                                Bytes &out) -> Status {
+    // Each decode step is held to the largest encoding of an output
+    // within the outer limit, so an over-limit claim fails at the
+    // first step that sees it, before that step allocates.
+    vtable->decompressInto = [stages, terminal](
+                                 ByteSpan input, Bytes &out,
+                                 u64 max_output_bytes) -> Status {
         Bytes staged, next;
-        CDPU_RETURN_IF_ERROR(terminal->decompressInto(input, staged));
+        CDPU_RETURN_IF_ERROR(terminal->decompressInto(
+            input, staged,
+            stagedLimit(stages, stages.size(), max_output_bytes)));
         for (std::size_t i = stages.size(); i-- > 0;) {
             Bytes &target = i == 0 ? out : next;
             CDPU_RETURN_IF_ERROR(transform::invert(
                 stages[i], ByteSpan(staged.data(), staged.size()),
-                target));
+                target, stagedLimit(stages, i, max_output_bytes)));
             if (i != 0)
                 staged.swap(next);
         }
@@ -148,8 +174,10 @@ makePipelineVTable(const CodecSpec &spec)
     };
     auto decompress = vtable->decompressInto;
     vtable->makeDecompressSession =
-        [decompress]() -> std::unique_ptr<DecompressSession> {
-        return std::make_unique<BufferedDecompressSession>(decompress);
+        [decompress](u64 max_output_bytes)
+        -> std::unique_ptr<DecompressSession> {
+        return std::make_unique<BufferedDecompressSession>(
+            decompress, max_output_bytes);
     };
 
     return vtable;

@@ -242,9 +242,10 @@ compressInto(CodecId id, ByteSpan input, const CodecParams &params,
 }
 
 Status
-decompressInto(CodecId id, ByteSpan input, Bytes &out)
+decompressInto(CodecId id, ByteSpan input, Bytes &out,
+               u64 max_output_bytes)
 {
-    return registry(id).decompressInto(input, out);
+    return registry(id).decompressInto(input, out, max_output_bytes);
 }
 
 std::unique_ptr<CompressSession>
@@ -254,9 +255,9 @@ makeCompressSession(CodecId id, const CodecParams &params)
 }
 
 std::unique_ptr<DecompressSession>
-makeDecompressSession(CodecId id)
+makeDecompressSession(CodecId id, u64 max_output_bytes)
 {
-    return registry(id).makeDecompressSession();
+    return registry(id).makeDecompressSession(max_output_bytes);
 }
 
 } // namespace cdpu::codec

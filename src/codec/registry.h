@@ -103,6 +103,25 @@ struct CodecCaps
     CodecParams clamp(int level, unsigned window_log) const;
 };
 
+/**
+ * A std::function whose trailing output limit defaults to
+ * kMaxDecodedBytes at the call site, so a vtable caller that passes
+ * no limit keeps the limit-free call shape.
+ */
+template <typename R, typename... Args>
+struct LimitedFn : std::function<R(Args..., u64)>
+{
+    using Base = std::function<R(Args..., u64)>;
+    using Base::Base;
+    using Base::operator=;
+
+    R
+    operator()(Args... args, u64 max_output_bytes = kMaxDecodedBytes) const
+    {
+        return Base::operator()(args..., max_output_bytes);
+    }
+};
+
 /** Uniform per-codec behaviour table. All callables are non-null for
  *  every registered codec (std::function so pipeline entries can
  *  capture their composed spec). */
@@ -116,18 +135,20 @@ struct CodecVTable
                          Bytes &out)>
         compressInto;
 
-    /** Decompresses a whole buffer produced by compressInto. */
-    std::function<Status(ByteSpan input, Bytes &out)> decompressInto;
+    /** Decompresses a whole buffer produced by compressInto. A frame
+     *  claiming more than the trailing limit is corruptData before
+     *  @p out grows. */
+    LimitedFn<Status, ByteSpan, Bytes &> decompressInto;
 
     /** Upper bound on compressInto output for @p input_size bytes. */
     std::function<std::size_t(std::size_t input_size)> maxCompressedSize;
 
-    /** Streaming session factories (session.h). */
+    /** Streaming session factories (session.h). A decompress session
+     *  holds its whole stream's output to the trailing limit. */
     std::function<std::unique_ptr<CompressSession>(
         const CodecParams &params)>
         makeCompressSession;
-    std::function<std::unique_ptr<DecompressSession>()>
-        makeDecompressSession;
+    LimitedFn<std::unique_ptr<DecompressSession>> makeDecompressSession;
 };
 
 /** The vtable for @p id. Never fails for ids obtained from
@@ -142,10 +163,12 @@ BaseCodecId terminalBase(CodecId id);
 /** Convenience wrappers over registry(id). */
 Status compressInto(CodecId id, ByteSpan input,
                     const CodecParams &params, Bytes &out);
-Status decompressInto(CodecId id, ByteSpan input, Bytes &out);
+Status decompressInto(CodecId id, ByteSpan input, Bytes &out,
+                      u64 max_output_bytes = kMaxDecodedBytes);
 std::unique_ptr<CompressSession> makeCompressSession(
     CodecId id, const CodecParams &params);
-std::unique_ptr<DecompressSession> makeDecompressSession(CodecId id);
+std::unique_ptr<DecompressSession>
+makeDecompressSession(CodecId id, u64 max_output_bytes = kMaxDecodedBytes);
 
 } // namespace cdpu::codec
 

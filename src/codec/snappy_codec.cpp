@@ -29,9 +29,9 @@ snappyCompressInto(ByteSpan input, const CodecParams & /*params*/,
 }
 
 Status
-snappyDecompressInto(ByteSpan input, Bytes &out)
+snappyDecompressInto(ByteSpan input, Bytes &out, u64 max_output_bytes)
 {
-    return snappy::decompressInto(input, out);
+    return snappy::decompressInto(input, out, max_output_bytes);
 }
 
 /** Framed streaming compressor over FrameWriter: chunk boundaries
@@ -71,10 +71,16 @@ class FramedCompressSession final : public CompressSession
     bool finished_ = false;
 };
 
-/** Framed streaming decompressor over FrameReader. */
+/** Framed streaming decompressor over FrameReader; the reader holds
+ *  the cumulative stream output to the session's limit. */
 class FramedDecompressSession final : public DecompressSession
 {
   public:
+    explicit FramedDecompressSession(u64 max_output_bytes)
+        : reader_(max_output_bytes)
+    {
+    }
+
     Status feed(ByteSpan chunk) override
     {
         if (finished_)
@@ -105,9 +111,9 @@ makeFramedCompressSession(const CodecParams & /*params*/)
 }
 
 std::unique_ptr<DecompressSession>
-makeFramedDecompressSession()
+makeFramedDecompressSession(u64 max_output_bytes)
 {
-    return std::make_unique<FramedDecompressSession>();
+    return std::make_unique<FramedDecompressSession>(max_output_bytes);
 }
 
 } // namespace

@@ -31,9 +31,10 @@ zstdliteCompressInto(ByteSpan input, const CodecParams &params,
 }
 
 Status
-zstdliteDecompressInto(ByteSpan input, Bytes &out)
+zstdliteDecompressInto(ByteSpan input, Bytes &out, u64 max_output_bytes)
 {
-    return zstdlite::decompressInto(input, out);
+    return zstdlite::decompressInto(input, out, nullptr,
+                                    max_output_bytes);
 }
 
 std::size_t
@@ -48,6 +49,11 @@ zstdliteMaxCompressedSize(std::size_t input_size)
 class ZstdStreamDecompressSession final : public DecompressSession
 {
   public:
+    explicit ZstdStreamDecompressSession(u64 max_output_bytes)
+        : decoder_(max_output_bytes)
+    {
+    }
+
     Status feed(ByteSpan chunk) override
     {
         if (finished_)
@@ -79,9 +85,10 @@ makeZstdCompressSession(const CodecParams &params)
 }
 
 std::unique_ptr<DecompressSession>
-makeZstdDecompressSession()
+makeZstdDecompressSession(u64 max_output_bytes)
 {
-    return std::make_unique<ZstdStreamDecompressSession>();
+    return std::make_unique<ZstdStreamDecompressSession>(
+        max_output_bytes);
 }
 
 } // namespace

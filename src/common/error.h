@@ -13,6 +13,8 @@
 #include <string>
 #include <utility>
 
+#include "common/types.h"
+
 namespace cdpu
 {
 
@@ -178,6 +180,23 @@ class Result
     Status status_;
     T value_{};
 };
+
+/**
+ * The one output-limit check every decode entry point runs on its
+ * frame's claimed decoded size, before it reserves anything: a claim
+ * over @p max_output_bytes (kMaxDecodedBytes by default) is
+ * corruptData.
+ */
+inline Status
+checkOutputClaim(u64 claimed, u64 max_output_bytes)
+{
+    if (claimed <= max_output_bytes)
+        return Status::okStatus();
+    return Status::corrupt("claimed output of " + std::to_string(claimed) +
+                           " bytes exceeds the " +
+                           std::to_string(max_output_bytes) +
+                           "-byte output limit");
+}
 
 /** Propagates a non-OK status from the current function. */
 #define CDPU_RETURN_IF_ERROR(expr)                                           \

@@ -34,6 +34,15 @@ inline constexpr std::size_t kKiB = 1024;
 /** One mebibyte, in bytes. */
 inline constexpr std::size_t kMiB = 1024 * kKiB;
 
+/**
+ * Default output limit of every decode entry point (the trailing
+ * `maxOutputBytes` argument): the one place the decoded-size policy
+ * lives. A frame whose claimed size exceeds the limit is corruptData,
+ * rejected before anything is reserved; a compressed output over it
+ * is bufferTooSmall (DESIGN.md §10).
+ */
+inline constexpr u64 kMaxDecodedBytes = u64{1} << 32;
+
 } // namespace cdpu
 
 #endif // CDPU_COMMON_TYPES_H_

@@ -56,13 +56,14 @@ inline constexpr std::size_t kMaxSpecNameBytes = 64;
  * Hard cap on the index's block count. The index is the only part of
  * the format whose claimed sizes drive allocation before any codec
  * validation runs, so both its entry count and its claimed output
- * total (DecodeOptions::maxOutputBytes) are bounded up front — a
- * tampered index must be rejected for the lie, not trusted into an
- * allocation (DESIGN.md §14 error contract).
+ * total (the decoders' max_output_bytes argument) are bounded up
+ * front — a tampered index must be rejected for the lie, not trusted
+ * into an allocation (DESIGN.md §14 error contract).
  */
 inline constexpr std::size_t kMaxBlockCount = std::size_t{1} << 20;
 
-/** Default decode-side cap on the index's total claimed output. */
+/** Default decode-side cap on the index's total claimed output: the
+ *  bound on the index-driven up-front output allocation. */
 inline constexpr u64 kDefaultMaxOutputBytes = u64{1} << 30;
 
 /** Compress-side tuning. */
@@ -117,15 +118,6 @@ Status write(codec::CodecId id, ByteSpan input,
  */
 Result<FrameIndex> parseIndex(ByteSpan frame);
 
-/** Decode-side options shared by the sequential and parallel paths. */
-struct DecodeOptions
-{
-    /** Reject an index whose claimed output total exceeds this before
-     *  allocating anything (the index-driven allocation tripwire; the
-     *  harden fuzz battery lowers it to its 16 MiB output bound). */
-    u64 maxOutputBytes = kDefaultMaxOutputBytes;
-};
-
 /**
  * Decode accounting, split exactly like serve::ReplayReport:
  * everything in @ref work is a pure function of the frame — equal for
@@ -148,6 +140,14 @@ struct DecodeReport
  * block in order through one reused codec scratch. The differential
  * oracle decodeParallel() is compared to.
  *
+ * Output limits (both paths): an index whose claimed total exceeds
+ * @p max_output_bytes is corruptData before anything is allocated, and
+ * each block is decoded with its entry's regenSize as its codec output
+ * limit, so a block frame claiming more than its entry is refused
+ * before its scratch grows. A @p max_output_bytes of 0 (a `{}`
+ * argument) selects kDefaultMaxOutputBytes, so callers that passed
+ * default options as `{}` keep their meaning.
+ *
  * Error contract (both paths): a malformed index or a block that
  * fails to decode (or decodes to a size other than its entry's
  * regenSize) returns corruptData, @p out is left empty — never
@@ -156,7 +156,7 @@ struct DecodeReport
  * so the work counters are deterministic even on damaged frames.
  */
 Status decodeSequential(ByteSpan frame, Bytes &out,
-                        const DecodeOptions &options = {},
+                        u64 max_output_bytes = kDefaultMaxOutputBytes,
                         DecodeReport *report = nullptr);
 
 /**
@@ -168,7 +168,7 @@ Status decodeSequential(ByteSpan frame, Bytes &out,
  * the result is byte-identical to decodeSequential() at any count.
  */
 Status decodeParallel(ByteSpan frame, unsigned workers, Bytes &out,
-                      const DecodeOptions &options = {},
+                      u64 max_output_bytes = kDefaultMaxOutputBytes,
                       DecodeReport *report = nullptr);
 
 /**

@@ -38,21 +38,25 @@ struct Plan
 };
 
 Result<Plan>
-buildPlan(ByteSpan frame, const DecodeOptions &options)
+buildPlan(ByteSpan frame, u64 max_output_bytes)
 {
     Result<FrameIndex> parsed = parseIndex(frame);
     if (!parsed.ok())
         return parsed.status();
     Plan plan;
     plan.index = std::move(parsed.value());
-    if (plan.index.totalRegenBytes > options.maxOutputBytes) {
+    // 0 is what a `{}` argument spells: the caller asked for the
+    // default cap, not for an empty output.
+    if (max_output_bytes == 0)
+        max_output_bytes = kDefaultMaxOutputBytes;
+    if (plan.index.totalRegenBytes > max_output_bytes) {
         // The index-driven allocation tripwire: reject the claim
         // before a single output byte is allocated.
         return Status::corrupt(
             "container index claims " +
             std::to_string(plan.index.totalRegenBytes) +
             " output bytes, over the " +
-            std::to_string(options.maxOutputBytes) + "-byte decode cap");
+            std::to_string(max_output_bytes) + "-byte decode cap");
     }
     plan.data = frame.subspan(plan.index.dataStart);
     plan.dstOffsets.reserve(plan.index.blocks.size());
@@ -85,8 +89,10 @@ decodeBlock(serve::CodecContext &context, const Plan &plan,
         static_cast<std::size_t>(entry.offset),
         static_cast<std::size_t>(entry.compSize));
 
+    // The entry's regenSize is the block's output limit: a frame
+    // claiming more is refused before the scratch grows.
     ByteSpan decoded;
-    Status status = context.execute(call, decoded);
+    Status status = context.execute(call, decoded, entry.regenSize);
     if (status.ok() && decoded.size() != entry.regenSize) {
         status = Status::corrupt(
             "block " + std::to_string(i) + " regenerated " +
@@ -152,13 +158,13 @@ decodeOn(serve::Worker &worker, const Plan &plan, std::size_t i,
 } // namespace
 
 Status
-decodeSequential(ByteSpan frame, Bytes &out,
-                 const DecodeOptions &options, DecodeReport *report)
+decodeSequential(ByteSpan frame, Bytes &out, u64 max_output_bytes,
+                 DecodeReport *report)
 {
     out.clear();
     if (report)
         *report = DecodeReport{};
-    Result<Plan> planned = buildPlan(frame, options);
+    Result<Plan> planned = buildPlan(frame, max_output_bytes);
     if (!planned.ok())
         return planned.status();
     const Plan &plan = planned.value();
@@ -180,14 +186,14 @@ decodeSequential(ByteSpan frame, Bytes &out,
 
 Status
 decodeParallel(ByteSpan frame, unsigned workers, Bytes &out,
-               const DecodeOptions &options, DecodeReport *report)
+               u64 max_output_bytes, DecodeReport *report)
 {
     out.clear();
     if (report)
         *report = DecodeReport{};
     if (workers == 0)
         workers = 1;
-    Result<Plan> planned = buildPlan(frame, options);
+    Result<Plan> planned = buildPlan(frame, max_output_bytes);
     if (!planned.ok())
         return planned.status();
     const Plan &plan = planned.value();

@@ -47,15 +47,16 @@ decodeSymbol(const huffman::Decoder &decoder, BitReader &reader)
 } // namespace
 
 Status
-decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
+decompressInto(ByteSpan data, Bytes &out, FileTrace *trace,
+               u64 max_output_bytes)
 {
     out.clear();
     std::size_t pos = 0;
     auto header = readFrameHeader(data, pos);
     if (!header.ok())
         return header.status();
-    if (header.value().contentSize > (1ull << 32))
-        return Status::corrupt("implausible flate content size");
+    CDPU_RETURN_IF_ERROR(
+        checkOutputClaim(header.value().contentSize, max_output_bytes));
     const u64 window = 1ull << header.value().windowLog;
 
     if (trace) {

@@ -23,11 +23,14 @@ Result<Bytes> decompress(ByteSpan data, FileTrace *trace = nullptr);
 
 /**
  * Context-reuse variant of decompress(): decodes into @p out, clearing
- * it first but keeping its capacity (see snappy::decompressInto). On
- * error @p out is left in an unspecified (but valid) state.
+ * it first but keeping its capacity (see snappy::decompressInto). A
+ * content-size claim over @p max_output_bytes is corruptData before
+ * anything is reserved. On error @p out is left in an unspecified (but
+ * valid) state.
  */
 Status decompressInto(ByteSpan data, Bytes &out,
-                      FileTrace *trace = nullptr);
+                      FileTrace *trace = nullptr,
+                      u64 max_output_bytes = kMaxDecodedBytes);
 
 } // namespace cdpu::flatelite
 

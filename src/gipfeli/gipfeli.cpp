@@ -175,7 +175,7 @@ compress(ByteSpan input)
 }
 
 Status
-decompressInto(ByteSpan data, Bytes &out)
+decompressInto(ByteSpan data, Bytes &out, u64 max_output_bytes)
 {
     out.clear();
     std::size_t pos = 0;
@@ -188,8 +188,8 @@ decompressInto(ByteSpan data, Bytes &out)
     auto content_size = getVarint(data, pos);
     if (!content_size.ok())
         return content_size.status();
-    if (content_size.value() > (1ull << 32))
-        return Status::corrupt("implausible gipfeli content size");
+    CDPU_RETURN_IF_ERROR(
+        checkOutputClaim(content_size.value(), max_output_bytes));
 
     if (pos + 96 > data.size())
         return Status::corrupt("gipfeli literal tables truncated");

@@ -49,10 +49,12 @@ void compressInto(ByteSpan input, Bytes &out);
 
 /**
  * Context-reuse variant of decompress(): decodes into @p out, clearing
- * it first but keeping its capacity. On error @p out is left in an
- * unspecified (but valid) state.
+ * it first but keeping its capacity. A content-size claim over
+ * @p max_output_bytes is corruptData before anything is reserved. On
+ * error @p out is left in an unspecified (but valid) state.
  */
-Status decompressInto(ByteSpan data, Bytes &out);
+Status decompressInto(ByteSpan data, Bytes &out,
+                      u64 max_output_bytes = kMaxDecodedBytes);
 
 } // namespace cdpu::gipfeli
 

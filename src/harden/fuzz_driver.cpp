@@ -1,6 +1,7 @@
 #include "harden/fuzz_driver.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "codec/obs_bridge.h"
 #include "codec/session.h"
@@ -234,10 +235,12 @@ class Battery
         }
         report_.maxOutputBytes =
             std::max<u64>(report_.maxOutputBytes, whole.size());
-        if (whole_status.ok())
+        if (whole_status.ok()) {
             ++report_.survivors;
-        else
+            checkOutputLimit(spec, mutated, whole, std::nullopt);
+        } else {
             ++report_.cleanRejects;
+        }
 
         if (!config_.checkStreaming || config_.chunkSizes.empty())
             return;
@@ -255,6 +258,8 @@ class Battery
             compareOutcomes(spec, whole_status, whole, chunked,
                             "streaming vs whole-buffer", chunk);
             checkSticky(spec, *session, chunked.status);
+            if (whole_status.ok())
+                checkOutputLimit(spec, mutated, whole, chunk);
         } else {
             // Separate stream grammar (snappy framing): mutate the
             // framed form and compare session granularities against a
@@ -282,6 +287,56 @@ class Battery
                             chunked, "chunked vs whole-feed stream",
                             chunk);
             checkSticky(spec, *session, chunked.status);
+            if (reference.status.ok())
+                checkOutputLimit(spec, stream_mutated, reference.out,
+                                 chunk);
+        }
+    }
+
+    /**
+     * Output-limit leg: a frame that decoded to @p expected is decoded
+     * again with the limit one byte under its size, which must be a
+     * clean dataError, and at exactly its size, which must give the
+     * same bytes. The whole-buffer path (@p chunk empty) must refuse
+     * with nothing allocated into its output; a session at @p chunk
+     * may already have handed out earlier stream units (snappy
+     * framing chunks), but never a byte past the limit.
+     */
+    void
+    checkOutputLimit(const MutationSpec &spec, ByteSpan frame,
+                     const Bytes &expected,
+                     std::optional<std::size_t> chunk)
+    {
+        if (expected.empty())
+            return; // No limit lies under an empty output.
+        const std::string path =
+            chunk ? "session (chunk=" + std::to_string(*chunk) + ")"
+                  : std::string("whole-buffer");
+        const u64 size = expected.size();
+        for (const u64 limit : {size - 1, size}) {
+            DriveResult result;
+            if (chunk) {
+                auto session = vtable_.makeDecompressSession(limit);
+                result = driveDecode(*session, frame, *chunk);
+            } else {
+                result.status =
+                    vtable_.decompressInto(frame, result.out, limit);
+            }
+            const std::string at =
+                path + " decode at limit " + std::to_string(limit) +
+                " of a " + std::to_string(size) + "-byte output";
+            if (limit == size) {
+                if (!result.status.ok() || result.out != expected)
+                    fail(spec, at + " did not reproduce it: " +
+                                   result.status.toString());
+            } else if (failureClass(result.status) !=
+                       FailureClass::dataError) {
+                fail(spec, at + " returned " + result.status.toString() +
+                               " instead of a clean data error");
+            } else if (chunk ? result.out.size() > limit
+                             : result.out.capacity() != 0) {
+                fail(spec, at + " allocated output past the limit");
+            }
         }
     }
 
@@ -289,7 +344,7 @@ class Battery
      * Container-grammar leg: mutate a multi-block container frame,
      * then hold decodeSequential and decodeParallel(2) to the shared
      * contract — ok-or-dataError only, no output past the tripwire
-     * (DecodeOptions::maxOutputBytes carries it into the index
+     * (the max_output_bytes argument carries it into the index
      * validator), and sequential/parallel agreement on FailureClass,
      * bytes, and the deterministic work counters.
      */
@@ -306,13 +361,11 @@ class Battery
             base_.containerFrames[index], spec, FrameKind::container,
             base_.containerFrames[donor_index]);
 
-        container::DecodeOptions options;
-        options.maxOutputBytes = config_.outputTripwireBytes;
-
         Bytes sequential;
         container::DecodeReport sequential_report;
         Status ss = container::decodeSequential(
-            mutated, sequential, options, &sequential_report);
+            mutated, sequential, config_.outputTripwireBytes,
+            &sequential_report);
         recordFlight(i, ss, mutated.size(), sequential.size());
         checkDecodeStatus(spec, ss, "container sequential");
         if (sequential.size() > config_.outputTripwireBytes) {
@@ -329,8 +382,9 @@ class Battery
 
         Bytes parallel;
         container::DecodeReport parallel_report;
-        Status ps = container::decodeParallel(mutated, 2, parallel,
-                                              options, &parallel_report);
+        Status ps = container::decodeParallel(
+            mutated, 2, parallel, config_.outputTripwireBytes,
+            &parallel_report);
         checkDecodeStatus(spec, ps, "container parallel");
         if (failureClass(ss) != failureClass(ps)) {
             fail(spec, "container sequential/parallel verdict "

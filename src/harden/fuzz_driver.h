@@ -54,8 +54,9 @@ struct FuzzConfig
      * container grammar, and every iteration cross-checks
      * decodeSequential against decodeParallel(2) for identical
      * FailureClass, bytes, and work counters. The outputTripwireBytes
-     * bound doubles as DecodeOptions::maxOutputBytes, so an index-
-     * driven allocation lie trips the same wire as a decoder bug.
+     * bound doubles as the container decoders' max_output_bytes, so an
+     * index-driven allocation lie trips the same wire as a decoder
+     * bug.
      */
     FrameKind frameKind = FrameKind::buffer;
     /** Session feed granularities; 0 is the whole-buffer feed. */

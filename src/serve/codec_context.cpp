@@ -7,19 +7,28 @@ namespace cdpu::serve
 {
 
 Status
-CodecContext::execute(const hcb::ReplayCall &call, ByteSpan &output)
+CodecContext::execute(const hcb::ReplayCall &call, ByteSpan &output,
+                      u64 max_output_bytes)
 {
     // A codec failure must come back as a Status, never unwind a
     // serving thread — catch-all as the last line of defence even
     // though registry codecs report through Status.
     Status status = Status::okStatus();
     try {
-        status = executeInto(call);
+        status = executeInto(call, max_output_bytes);
     } catch (const std::exception &e) {
         status = Status::internal(std::string("codec threw: ") + e.what());
     } catch (...) {
         status = Status::internal("codec threw a non-exception");
     }
+    // Decoders refuse an over-limit claim themselves; a compressed
+    // output can only be measured once it exists.
+    if (status.ok() && out_.size() > max_output_bytes)
+        status = Status(StatusCode::bufferTooSmall,
+                        "output of " + std::to_string(out_.size()) +
+                            " bytes exceeds the " +
+                            std::to_string(max_output_bytes) +
+                            "-byte output limit");
     if (!status.ok()) {
         // A failed call must not poison the reused scratch: streaming
         // drains accumulate partial output before the error surfaces,
@@ -33,7 +42,8 @@ CodecContext::execute(const hcb::ReplayCall &call, ByteSpan &output)
 }
 
 Status
-CodecContext::executeInto(const hcb::ReplayCall &call)
+CodecContext::executeInto(const hcb::ReplayCall &call,
+                          u64 max_output_bytes)
 {
     const codec::CodecVTable &vtable = codec::registry(call.codec);
     const codec::CodecParams params =
@@ -51,7 +61,7 @@ CodecContext::executeInto(const hcb::ReplayCall &call)
             return codec::compressAll(*session, call.payload,
                                       call.chunkBytes, out_);
         }
-        auto session = vtable.makeDecompressSession();
+        auto session = vtable.makeDecompressSession(max_output_bytes);
         return codec::decompressAll(*session, call.payload,
                                     call.chunkBytes, out_);
     }
@@ -61,7 +71,7 @@ CodecContext::executeInto(const hcb::ReplayCall &call)
     obs::annotatePhase("ctx.oneshot", call.payload.size());
     if (compressing)
         return vtable.compressInto(call.payload, params, out_);
-    return vtable.decompressInto(call.payload, out_);
+    return vtable.decompressInto(call.payload, out_, max_output_bytes);
 }
 
 } // namespace cdpu::serve

@@ -34,15 +34,22 @@ class CodecContext
      * registry's capability metadata, so any fleet-sampled call can
      * execute on any codec. An exception out of the codec comes back
      * as an internal-error Status.
+     *
+     * @p max_output_bytes bounds the output in both directions: a
+     * decompress frame claiming more is corruptData before the scratch
+     * grows; a compressed output over it is bufferTooSmall (its
+     * allocation is already bounded by maxCompressedSize).
      */
-    Status execute(const hcb::ReplayCall &call, ByteSpan &output);
+    Status execute(const hcb::ReplayCall &call, ByteSpan &output,
+                   u64 max_output_bytes = kMaxDecodedBytes);
 
     /** Bytes produced by the last successful execute(); 0 after a
      *  failed call (a failure never leaves partial output behind). */
     std::size_t lastOutputSize() const { return out_.size(); }
 
   private:
-    Status executeInto(const hcb::ReplayCall &call);
+    Status executeInto(const hcb::ReplayCall &call,
+                       u64 max_output_bytes);
 
     Bytes out_; ///< Reused across calls; capacity only grows.
 };

@@ -466,9 +466,13 @@ Daemon::execute(Worker &worker, Job &job)
             std::chrono::nanoseconds(config_.workerDelayNs));
 
     // serve.latency_ns runs from admission to codec completion (the
-    // response write is not included).
+    // response write is not included). The output limit is the wire's
+    // payload cap, so the server never builds a response the client
+    // must reject: an over-limit decompress claim is refused before it
+    // allocates, an over-limit compressed output is a resource error.
     job.call.payload = ByteSpan(job.payload.data(), job.payload.size());
-    const CallResult result = worker.run(job.call, job.admitted);
+    const CallResult result = worker.run(job.call, job.admitted,
+                                         config_.limits.maxPayloadBytes);
     worker.withWork([&](obs::CounterRegistry &registry) {
         tenantCounter(cells.calls, registry, "serve.tenant.calls",
                       job.tenantId)

@@ -38,7 +38,8 @@ Worker::Worker(ExecutorCore &core, unsigned index)
 }
 
 CallResult
-Worker::run(const hcb::ReplayCall &call, Clock::time_point since)
+Worker::run(const hcb::ReplayCall &call, Clock::time_point since,
+            u64 max_output_bytes)
 {
     // Registry names live as long as the process: safe span labels.
     const std::string &codec_name = codec::registry(call.codec).caps.name;
@@ -57,7 +58,8 @@ Worker::run(const hcb::ReplayCall &call, Clock::time_point since)
     }
     const Clock::time_point started = Clock::now();
     CallResult result;
-    result.status = context_.execute(call, result.output);
+    result.status =
+        context_.execute(call, result.output, max_output_bytes);
     const Clock::time_point finished = Clock::now();
     phases.reset();
     span.end();

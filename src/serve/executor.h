@@ -60,10 +60,12 @@ class Worker
      * cell (runtime), and with a hub the span sampled by call id, the
      * flight event, the fault note and the call-clocked metrics
      * sample. Latency runs from @p since (default: the call's start)
-     * to codec completion.
+     * to codec completion. @p max_output_bytes is the call's output
+     * limit (CodecContext::execute); a call over it is a failure.
      */
     CallResult run(const hcb::ReplayCall &call,
-                   std::chrono::steady_clock::time_point since = {});
+                   std::chrono::steady_clock::time_point since = {},
+                   u64 max_output_bytes = kMaxDecodedBytes);
 
     /** Runs @p fn(obs::CounterRegistry &) under this worker's work
      *  (deterministic) or runtime (scheduling-dependent) shard. */

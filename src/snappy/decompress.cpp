@@ -132,7 +132,7 @@ constexpr u64 kMaxExpansionDen = 3;
 } // namespace
 
 Status
-decompressInto(ByteSpan data, Bytes &out)
+decompressInto(ByteSpan data, Bytes &out, u64 max_output_bytes)
 {
     out.clear();
     std::size_t pos = 0;
@@ -143,6 +143,7 @@ decompressInto(ByteSpan data, Bytes &out)
     if (!length.ok())
         return length.status();
     const u64 expected = length.value();
+    CDPU_RETURN_IF_ERROR(checkOutputClaim(expected, max_output_bytes));
     const std::size_t body = data.size() - pos;
     if (expected * kMaxExpansionDen > body * kMaxExpansionNum)
         return Status::corrupt("stream cannot produce claimed length");

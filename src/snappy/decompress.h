@@ -31,10 +31,12 @@ Result<Bytes> decompress(ByteSpan data);
  * Context-reuse variant of decompress(): decodes into @p out, clearing
  * it first but keeping its capacity, so a serving loop that replays
  * many calls through one scratch buffer allocates only when a call
- * outgrows every previous one. On error @p out is left in an
- * unspecified (but valid) state.
+ * outgrows every previous one. A preamble claiming more than
+ * @p max_output_bytes is corruptData before anything is reserved. On
+ * error @p out is left in an unspecified (but valid) state.
  */
-Status decompressInto(ByteSpan data, Bytes &out);
+Status decompressInto(ByteSpan data, Bytes &out,
+                      u64 max_output_bytes = kMaxDecodedBytes);
 
 /**
  * Applies a decoded element stream to produce output. This is the

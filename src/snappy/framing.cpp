@@ -141,10 +141,10 @@ FrameReader::processChunk(u8 type_byte, ByteSpan body)
             return claimed.status();
         if (claimed.value() > kMaxChunkPayload)
             return Status::corrupt("chunk exceeds 64 KiB limit");
+        CDPU_RETURN_IF_ERROR(claimOutput(claimed.value()));
         u32 expected = unmaskCrc(getLe32(body, 0));
-        CDPU_RETURN_IF_ERROR(decompressInto(body.subspan(4), scratch_));
-        if (scratch_.size() > kMaxChunkPayload)
-            return Status::corrupt("chunk exceeds 64 KiB limit");
+        CDPU_RETURN_IF_ERROR(
+            decompressInto(body.subspan(4), scratch_, kMaxChunkPayload));
         if (crc32c(scratch_) != expected)
             return Status::corrupt("chunk CRC mismatch");
         out_.insert(out_.end(), scratch_.begin(), scratch_.end());
@@ -156,6 +156,7 @@ FrameReader::processChunk(u8 type_byte, ByteSpan body)
         ByteSpan payload = body.subspan(4);
         if (payload.size() > kMaxChunkPayload)
             return Status::corrupt("chunk exceeds 64 KiB limit");
+        CDPU_RETURN_IF_ERROR(claimOutput(payload.size()));
         if (crc32c(payload) != unmaskCrc(getLe32(body, 0)))
             return Status::corrupt("chunk CRC mismatch");
         out_.insert(out_.end(), payload.begin(), payload.end());
@@ -169,6 +170,13 @@ FrameReader::processChunk(u8 type_byte, ByteSpan body)
         break; // skip
     }
     return Status::okStatus();
+}
+
+Status
+FrameReader::claimOutput(u64 bytes)
+{
+    produced_ += bytes;
+    return checkOutputClaim(produced_, maxOutputBytes_);
 }
 
 Status

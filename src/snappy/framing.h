@@ -81,12 +81,23 @@ class FrameWriter
  * finish() validates termination — leftover partial-chunk bytes mean
  * the stream was truncated and yield corruptData.
  *
+ * The stream's cumulative decoded size is held to the
+ * @p max_output_bytes limit the reader is built with: a chunk whose
+ * claim would cross it is corruptData before it is decoded. Chunks
+ * before it were already handed out, so a rejected stream may have
+ * drained a prefix, never a byte past the limit.
+ *
  * Errors are sticky: after a corrupt chunk every later call reports
  * the same status.
  */
 class FrameReader
 {
   public:
+    explicit FrameReader(u64 max_output_bytes = kMaxDecodedBytes)
+        : maxOutputBytes_(max_output_bytes)
+    {
+    }
+
     /** Appends framed bytes and decodes all complete chunks. */
     Status feed(ByteSpan data);
 
@@ -99,7 +110,11 @@ class FrameReader
 
   private:
     Status processChunk(u8 type_byte, ByteSpan body);
+    /** Bills @p bytes of chunk output against the stream limit. */
+    Status claimOutput(u64 bytes);
 
+    u64 maxOutputBytes_;
+    u64 produced_ = 0;          ///< Decoded bytes so far, drained or not.
     Bytes buffer_;              ///< Undecoded framed bytes.
     std::size_t cursor_ = 0;    ///< Start of the first unparsed chunk.
     Bytes out_;                 ///< Decoded, undrained bytes.

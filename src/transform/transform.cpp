@@ -468,7 +468,7 @@ apply(StageId stage, ByteSpan input, Bytes &out)
 }
 
 Status
-invert(StageId stage, ByteSpan input, Bytes &out)
+invert(StageId stage, ByteSpan input, Bytes &out, u64 max_output_bytes)
 {
     StageTimer timer(g_stats.invertNs[stageIndex(stage)]);
     out.clear();
@@ -485,6 +485,7 @@ invert(StageId stage, ByteSpan input, Bytes &out)
     if (!raw.ok())
         return Status::corrupt("transform: raw size truncated");
     u64 raw_size = raw.value();
+    CDPU_RETURN_IF_ERROR(checkOutputClaim(raw_size, max_output_bytes));
     ByteSpan body = input.subspan(pos);
     // Allocation guard: reject any claimed size the body cannot
     // plausibly decode to before reserving a byte.

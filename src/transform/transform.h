@@ -94,12 +94,14 @@ Status apply(StageId stage, ByteSpan input, Bytes &out);
 /**
  * Inverts a framed stage encoding, replacing @p out with the original
  * bytes. Fails with corruptData when the tag does not match @p stage,
- * the claimed raw size is inconsistent with the body, or the body
- * itself is malformed (BWT primary index out of range, RLE stream
- * over/underrunning its claim). The claimed size is validated against
- * the body's analytic decode bound before any allocation.
+ * the claimed raw size is inconsistent with the body or over
+ * @p max_output_bytes, or the body itself is malformed (BWT primary
+ * index out of range, RLE stream over/underrunning its claim). The
+ * claimed size is validated against the limit and the body's analytic
+ * decode bound before any allocation.
  */
-Status invert(StageId stage, ByteSpan input, Bytes &out);
+Status invert(StageId stage, ByteSpan input, Bytes &out,
+              u64 max_output_bytes = kMaxDecodedBytes);
 
 /**
  * Per-stage wall-time and byte attribution, thread-local and

@@ -248,7 +248,8 @@ probeBlock(ByteSpan data, std::size_t pos, bool &complete)
 } // namespace
 
 Status
-decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
+decompressInto(ByteSpan data, Bytes &out, FileTrace *trace,
+               u64 max_output_bytes)
 {
     out.clear();
     std::size_t pos = 0;
@@ -256,8 +257,8 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace)
     if (!header.ok())
         return header.status();
     const u64 window_size = 1ull << header.value().windowLog;
-    if (header.value().contentSize > (1ull << 32))
-        return Status::corrupt("content size beyond 4 GiB bound");
+    CDPU_RETURN_IF_ERROR(
+        checkOutputClaim(header.value().contentSize, max_output_bytes));
 
     if (trace) {
         *trace = FileTrace{};
@@ -328,10 +329,10 @@ StreamDecoder::feed(ByteSpan data)
             failed_ = header.status();
             return failed_;
         }
-        if (header.value().contentSize > (1ull << 32)) {
-            failed_ = Status::corrupt("content size beyond 4 GiB bound");
+        failed_ = checkOutputClaim(header.value().contentSize,
+                                   maxOutputBytes_);
+        if (!failed_.ok())
             return failed_;
-        }
         header_ = header.value();
         headerParsed_ = true;
         cursor_ = pos;

@@ -26,11 +26,14 @@ Result<Bytes> decompress(ByteSpan data, FileTrace *trace = nullptr);
 
 /**
  * Context-reuse variant of decompress(): decodes into @p out, clearing
- * it first but keeping its capacity (see snappy::decompressInto). On
- * error @p out is left in an unspecified (but valid) state.
+ * it first but keeping its capacity (see snappy::decompressInto). A
+ * contentSize claim over @p max_output_bytes is corruptData before
+ * anything is reserved. On error @p out is left in an unspecified (but
+ * valid) state.
  */
 Status decompressInto(ByteSpan data, Bytes &out,
-                      FileTrace *trace = nullptr);
+                      FileTrace *trace = nullptr,
+                      u64 max_output_bytes = kMaxDecodedBytes);
 
 /**
  * Incremental frame decoder over the block structure: feed() accepts
@@ -46,12 +49,18 @@ Status decompressInto(ByteSpan data, Bytes &out,
  * may reach back a whole window (up to 2^kMaxWindowLog). finish()
  * validates termination: a frame cut off mid-block or before its last
  * block fails with corruptData — never a short success — and the
- * content-size claim is enforced exactly as in decompressInto().
+ * content-size claim is enforced exactly as in decompressInto(),
+ * including the @p max_output_bytes limit the decoder is built with.
  * Errors are sticky.
  */
 class StreamDecoder
 {
   public:
+    explicit StreamDecoder(u64 max_output_bytes = kMaxDecodedBytes)
+        : maxOutputBytes_(max_output_bytes)
+    {
+    }
+
     /** Appends compressed bytes and decodes all complete blocks. */
     Status feed(ByteSpan data);
 
@@ -62,6 +71,7 @@ class StreamDecoder
     std::size_t drainInto(Bytes &out);
 
   private:
+    u64 maxOutputBytes_;
     Bytes buffer_;           ///< Undecoded compressed bytes.
     std::size_t cursor_ = 0; ///< Start of the first unparsed block.
     bool headerParsed_ = false;

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -491,6 +492,82 @@ TEST(CodecSessionTest, CorruptionSticksAcrossSubsequentCalls)
         EXPECT_FALSE(
             session->feed(ByteSpan(frame.data() + frame.size() - 3, 3))
                 .ok());
+    }
+}
+
+// --- Output limit ----------------------------------------------------
+
+TEST(CodecOutputLimitTest, EveryCodecHonoursTheOutputLimit)
+{
+    // Every decode entry point checks the frame's claimed size against
+    // its trailing limit before it allocates: at the output's exact
+    // size the bytes come back unchanged, one byte under it the frame
+    // is corruptData. The 70 KiB size spans two snappy framing chunks,
+    // so the framed session's cumulative count is what refuses it.
+    Rng rng(909);
+    for (CodecId id : allCodecs()) {
+        const CodecVTable &vtable = registry(id);
+        const CodecParams params = defaultParams(vtable);
+        for (corpus::DataClass cls : corpus::allDataClasses()) {
+            for (std::size_t size :
+                 {std::size_t{0}, std::size_t{1}, 70 * kKiB + 5}) {
+                SCOPED_TRACE(testing::Message()
+                             << codecName(id) << " "
+                             << corpus::dataClassName(cls) << " "
+                             << size);
+                const Bytes data = corpus::generate(cls, size, rng);
+                ASSERT_EQ(data.size(), size);
+                std::vector<u64> limits = {size};
+                if (size != 0)
+                    limits.push_back(size - 1);
+
+                Bytes frame;
+                ASSERT_TRUE(vtable.compressInto(data, params, frame).ok());
+                for (u64 limit : limits) {
+                    SCOPED_TRACE(testing::Message() << "limit " << limit);
+                    Bytes out;
+                    Status status =
+                        vtable.decompressInto(frame, out, limit);
+                    if (limit == size) {
+                        ASSERT_TRUE(status.ok()) << status.toString();
+                        EXPECT_EQ(out, data);
+                    } else {
+                        EXPECT_EQ(status.code(), StatusCode::corruptData)
+                            << status.toString();
+                        // Refused before anything was reserved.
+                        EXPECT_EQ(out.capacity(), 0u);
+                    }
+                }
+
+                auto compress = vtable.makeCompressSession(params);
+                Bytes stream;
+                ASSERT_TRUE(compressAll(*compress, data, 0, stream).ok());
+                for (std::size_t chunk : {1, 7, 0}) {
+                    for (u64 limit : limits) {
+                        SCOPED_TRACE(testing::Message()
+                                     << "chunk " << chunk << " limit "
+                                     << limit);
+                        auto session = vtable.makeDecompressSession(limit);
+                        Bytes out;
+                        Status status =
+                            decompressAll(*session, stream, chunk, out);
+                        if (limit == size) {
+                            ASSERT_TRUE(status.ok()) << status.toString();
+                            EXPECT_EQ(out, data);
+                        } else {
+                            EXPECT_EQ(status.code(),
+                                      StatusCode::corruptData)
+                                << status.toString();
+                            // Units decoded before the one that crossed
+                            // the limit may be out; nothing past it.
+                            EXPECT_LE(out.size(), limit);
+                            EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                                                   data.begin()));
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

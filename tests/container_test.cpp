@@ -47,13 +47,13 @@ expectHistogramsEqual(const obs::CounterSnapshot &a,
 /** One point of the differential grid: sequential reference vs every
  *  worker count, bytes + counters + verdict. */
 void
-expectParallelMatchesSequential(ByteSpan frame,
-                                const container::DecodeOptions &options,
+expectParallelMatchesSequential(ByteSpan frame, u64 max_output_bytes,
                                 const Bytes *expect_payload)
 {
     Bytes sequential;
     container::DecodeReport sequential_report;
-    Status ss = container::decodeSequential(frame, sequential, options,
+    Status ss = container::decodeSequential(frame, sequential,
+                                            max_output_bytes,
                                             &sequential_report);
     if (expect_payload) {
         ASSERT_TRUE(ss.ok()) << ss.toString();
@@ -67,7 +67,8 @@ expectParallelMatchesSequential(ByteSpan frame,
         Bytes parallel;
         container::DecodeReport parallel_report;
         Status ps = container::decodeParallel(frame, workers, parallel,
-                                              options, &parallel_report);
+                                              max_output_bytes,
+                                              &parallel_report);
         EXPECT_EQ(failureClass(ss), failureClass(ps))
             << ss.toString() << " vs " << ps.toString();
         EXPECT_EQ(sequential, parallel);
@@ -341,17 +342,16 @@ TEST(ContainerIndexTest, IndexDrivenAllocationIsCapped)
         craftFrame({{0, 8, u64{64} * kMiB}}, u64{64} * kMiB, 8);
     ASSERT_TRUE(container::parseIndex(frame).ok());
 
-    container::DecodeOptions options;
-    options.maxOutputBytes = 16 * kMiB;
+    const u64 max_output_bytes = 16 * kMiB;
     Bytes out;
     container::DecodeReport report;
-    Status ss =
-        container::decodeSequential(frame, out, options, &report);
+    Status ss = container::decodeSequential(frame, out, max_output_bytes,
+                                            &report);
     EXPECT_EQ(failureClass(ss), FailureClass::dataError)
         << ss.toString();
     EXPECT_TRUE(out.empty());
     EXPECT_EQ(report.blocks, 0u);
-    expectParallelMatchesSequential(frame, options, nullptr);
+    expectParallelMatchesSequential(frame, max_output_bytes, nullptr);
 
     // Under the default cap the same frame reaches the codec and fails
     // there instead — still a clean data error on both paths.

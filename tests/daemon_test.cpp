@@ -498,6 +498,60 @@ TEST(DaemonTest, OversizedPayloadClaimIsRejectedFromTheHeaderAlone)
     EXPECT_EQ(report.malformed, 1u);
 }
 
+TEST(DaemonTest, OutputOverTheWireLimitIsRefusedNotSent)
+{
+    // The wire's payload cap is also every call's output limit, so the
+    // server never builds a response its client must reject: a small
+    // request claiming a huge output is refused before the codec
+    // allocates, an over-cap compressed output is a resource error,
+    // and the connection keeps serving legal calls.
+    DaemonConfig config;
+    config.unixPath = testSocketPath("output-cap");
+    config.workers = 1;
+    config.limits.maxPayloadBytes = kMiB;
+    Daemon daemon(config);
+    ASSERT_TRUE(daemon.start().ok());
+
+    Result<DaemonClient> client =
+        DaemonClient::connectToUnix(config.unixPath);
+    ASSERT_TRUE(client.ok());
+    client.value().limits().maxPayloadBytes = kMiB;
+
+    const Bytes zeros(8 * kMiB, 0);
+    const Bytes bomb = directCall(codec::CodecId::zstdlite,
+                                  codec::Direction::compress, zeros, 3,
+                                  17);
+    ASSERT_LT(bomb.size(), 64 * kKiB);
+    Result<WireResponse> refused = client.value().call(makeRequest(
+        1, "zstdlite", codec::Direction::decompress, bomb));
+    ASSERT_TRUE(refused.ok()) << refused.status().toString();
+    EXPECT_EQ(refused.value().code, WireCode::dataError)
+        << refused.value().message;
+    EXPECT_TRUE(refused.value().payload.empty());
+
+    Result<WireResponse> expanded = client.value().call(makeRequest(
+        2, "snappy", codec::Direction::compress,
+        samplePayload(kMiB, 12, corpus::DataClass::randomBytes)));
+    ASSERT_TRUE(expanded.ok()) << expanded.status().toString();
+    EXPECT_EQ(expanded.value().code, WireCode::resourceError)
+        << expanded.value().message;
+    EXPECT_TRUE(expanded.value().payload.empty());
+
+    const Bytes legal = samplePayload(kMiB, 13);
+    Result<WireResponse> served = client.value().call(makeRequest(
+        3, "zstdlite", codec::Direction::decompress,
+        directCall(codec::CodecId::zstdlite, codec::Direction::compress,
+                   legal, 3, 17)));
+    ASSERT_TRUE(served.ok()) << served.status().toString();
+    EXPECT_EQ(served.value().code, WireCode::ok) << served.value().message;
+    EXPECT_EQ(served.value().payload, legal);
+
+    DaemonReport report = daemon.drain();
+    EXPECT_EQ(report.executed, 3u);
+    EXPECT_EQ(report.failed, 2u);
+    EXPECT_EQ(report.work.at("serve.failures"), 2u);
+}
+
 TEST(DaemonTest, TruncatedHeaderIsNeverParsed)
 {
     DaemonConfig config;

@@ -393,6 +393,53 @@ TEST(CodecContextTest, FailedCallDoesNotPoisonReusedScratch)
     EXPECT_EQ(Bytes(out.begin(), out.end()), expected);
 }
 
+TEST(CodecContextTest, LimitRejectLeavesNoOutputInEitherDirection)
+{
+    // The output limit bounds both directions: a decompress claim over
+    // it is corruptData before the scratch grows, a compressed output
+    // over it is bufferTooSmall once measured. Either way the call
+    // leaves no output behind.
+    Rng rng(41);
+    Bytes payload = corpus::generate(corpus::DataClass::randomBytes,
+                                     8 * kKiB, rng);
+    CodecContext context;
+    for (codec::CodecId id : codec::allCodecs()) {
+        for (bool streaming : {false, true}) {
+            SCOPED_TRACE(testing::Message() << codec::codecName(id)
+                                            << " streaming "
+                                            << streaming);
+            hcb::ReplayCall compress;
+            compress.codec = id;
+            compress.direction = codec::Direction::compress;
+            compress.payload = ByteSpan(payload.data(), payload.size());
+            compress.streaming = streaming;
+            compress.chunkBytes = 1000;
+            ByteSpan out;
+            ASSERT_TRUE(context.execute(compress, out).ok());
+            const Bytes frame(out.begin(), out.end());
+
+            Status over = context.execute(compress, out, frame.size() - 1);
+            EXPECT_EQ(over.code(), StatusCode::bufferTooSmall)
+                << over.toString();
+            EXPECT_EQ(context.lastOutputSize(), 0u);
+            ASSERT_TRUE(context.execute(compress, out, frame.size()).ok());
+            EXPECT_EQ(Bytes(out.begin(), out.end()), frame);
+
+            hcb::ReplayCall decompress = compress;
+            decompress.direction = codec::Direction::decompress;
+            decompress.payload = ByteSpan(frame.data(), frame.size());
+            Status claim =
+                context.execute(decompress, out, payload.size() - 1);
+            EXPECT_EQ(claim.code(), StatusCode::corruptData)
+                << claim.toString();
+            EXPECT_EQ(context.lastOutputSize(), 0u);
+            ASSERT_TRUE(
+                context.execute(decompress, out, payload.size()).ok());
+            EXPECT_EQ(Bytes(out.begin(), out.end()), payload);
+        }
+    }
+}
+
 TEST(ReplayEngineTest, SmallBatchesAndFewShardsStillMatch)
 {
     auto stream = buildMixedStream(smallStreamConfig());
