@@ -7,8 +7,10 @@
  * startup from CPUID feature detection (overridable with the
  * CDPU_KERNEL_TIER environment variable, or programmatically via
  * setActiveTier for tests and the --kernel-tier bench flag) and routes
- * the width-sensitive kernels through a per-tier dispatch table so call
- * sites stay tier-agnostic.
+ * CRC-32C and the match-finder hash runs through a per-tier dispatch
+ * table so call sites stay tier-agnostic. Copies take no table entry:
+ * mem::wildCopy inlines chunk loops keyed on the tier's storeWidth(),
+ * which an indirect call per short copy would cost more than it wins.
  *
  * Tier invariance is a hard contract: every kernel computes the exact
  * same function at every tier — byte-identical copies inside the
@@ -95,17 +97,6 @@ std::string cpuFeatureSummary();
  */
 struct KernelOps
 {
-    /**
-     * Copies @p n bytes in chunks of up to storeWidth(tier) bytes.
-     * May read up to storeWidth-1 bytes past src + n and write up to
-     * storeWidth-1 bytes past dst + n (both bounded by
-     * mem::kWildCopySlop). Forward-overlapping regions are legal for
-     * dst >= src + 8: the implementation clamps its chunk width to the
-     * overlap distance so an LZ match replay reads only bytes already
-     * written, byte-identical to the scalar 8-byte-chunk replay.
-     */
-    void (*wildCopy)(u8 *dst, const u8 *src, std::size_t n);
-
     /**
      * CRC-32C update over the RAW (pre-inverted) reflected state —
      * callers own the ~crc conditioning at both ends. Identical

@@ -201,13 +201,13 @@ decodeParallel(ByteSpan frame, unsigned workers, Bytes &out,
 
     std::vector<Status> statuses(plan.index.blocks.size());
     serve::Executor<std::size_t> executor(
-        workers, workers, /*shard_capacity=*/64,
-        serve::BackpressurePolicy::block, nullptr, "container",
+        workers, /*shard_capacity=*/64, nullptr, "container",
         [&](serve::Worker &worker, std::size_t &block) {
             decodeOn(worker, plan, block, out, statuses);
         });
     for (std::size_t i = 0; i < statuses.size(); ++i)
-        executor.push(static_cast<unsigned>(i % workers), i);
+        executor.push(static_cast<unsigned>(i % workers), i,
+                      serve::kNoDeadline);
     executor.finish();
 
     Status verdict = firstFailure(statuses);

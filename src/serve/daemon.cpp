@@ -17,9 +17,6 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** Poll interval for the deadline admission policy's bounded wait. */
-constexpr auto kAdmitPollInterval = std::chrono::microseconds(100);
-
 /** The `<family>.t<tenant>` counter, resolved once per tenant through
  *  @p cache. Call under the lock of the shard @p registry belongs to. */
 obs::Counter &
@@ -90,18 +87,19 @@ struct Daemon::Connection
     std::atomic<bool> readerDone{false};
     std::thread reader;
 
-    /** Writes one frame; after the first failure the connection is
-     *  dead and further responses are dropped silently (the peer is
-     *  gone — there is nobody to tell). */
+    /** Writes one frame (writeResponseFrame); after the first failure
+     *  the connection is dead and further responses are dropped
+     *  silently (the peer is gone — there is nobody to tell). */
     void
-    send(const WireResponse &response)
+    send(const ResponseHeader &header, std::string_view message,
+         ByteSpan payload)
     {
         if (dead.load(std::memory_order_relaxed))
             return;
         std::lock_guard<std::mutex> lock(writeMutex);
         if (dead.load(std::memory_order_relaxed))
             return;
-        if (!writeResponseFrame(fd.get(), response).ok())
+        if (!writeResponseFrame(fd.get(), header, message, payload).ok())
             dead.store(true, std::memory_order_relaxed);
     }
 };
@@ -124,8 +122,6 @@ Daemon::Daemon(const DaemonConfig &config) : config_(config)
 {
     if (config_.workers == 0)
         config_.workers = 1;
-    if (config_.shards == 0)
-        config_.shards = config_.workers;
     if (config_.shardCapacity == 0)
         config_.shardCapacity = 1;
 }
@@ -170,16 +166,9 @@ Daemon::start()
             return Status::io("self-pipe O_NONBLOCK failed");
     }
 
-    // The queue blocks producers only under the block admission
-    // policy; drop and deadline need an immediate answer from push()
-    // so the reject path can respond to the client.
     workerCells_ = std::vector<WorkerCells>(config_.workers);
     executor_ = std::make_unique<Executor<Job>>(
-        config_.workers, config_.shards, config_.shardCapacity,
-        config_.admission == AdmissionPolicy::block
-            ? BackpressurePolicy::block
-            : BackpressurePolicy::drop,
-        config_.telemetry, "serve",
+        config_.workers, config_.shardCapacity, config_.telemetry, "serve",
         [this](Worker &worker, Job &job) { execute(worker, job); });
     acceptThread_ = std::thread([this] { acceptLoop(); });
 
@@ -265,13 +254,12 @@ void
 Daemon::sendError(const std::shared_ptr<Connection> &conn,
                   u64 request_id, WireCode code, std::string message)
 {
-    WireResponse response;
-    response.requestId = request_id;
-    response.code = code;
+    ResponseHeader header;
+    header.requestId = request_id;
+    header.code = code;
     if (message.size() > config_.limits.maxMessageBytes)
         message.resize(config_.limits.maxMessageBytes);
-    response.message = std::move(message);
-    conn->send(response);
+    conn->send(header, message, {});
 }
 
 void
@@ -388,60 +376,48 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
     job.call.windowLog = request.windowLog;
     job.payload = std::move(request.payload);
     job.admitted = Clock::now();
-    if (request.deadlineNs != 0) {
+    // A relative deadline beyond the clock's range is no deadline: the
+    // sum would overflow (a u64 above INT64_MAX even turns negative)
+    // and expire the request on arrival.
+    const std::chrono::nanoseconds horizon =
+        Clock::time_point::max() - job.admitted;
+    if (request.deadlineNs != 0 &&
+        request.deadlineNs < static_cast<u64>(horizon.count())) {
         job.hasDeadline = true;
         job.deadline = job.admitted +
-                       std::chrono::nanoseconds(request.deadlineNs);
+                       std::chrono::nanoseconds(
+                           static_cast<i64>(request.deadlineNs));
     }
 
-    const unsigned home = static_cast<unsigned>(conn->id);
-    const u64 request_id = job.call.id;
+    // One push decides admission: it waits for room until a time point
+    // the policy picks. block: no deadline (lossless; a full shard
+    // backpressures this reader and so the client socket). drop: now
+    // (shed at once). deadline: as long as the request itself is
+    // willing to wait. A failed push leaves the job, and so its
+    // payload buffer, here to die with this frame.
+    Clock::time_point until = kNoDeadline;
+    if (config_.admission == AdmissionPolicy::drop)
+        until = job.admitted;
+    else if (config_.admission == AdmissionPolicy::deadline &&
+             job.hasDeadline)
+        until = job.deadline;
+    if (executor_->push(static_cast<unsigned>(conn->id), job, until))
+        return;
 
-    switch (config_.admission) {
-      case AdmissionPolicy::block:
-        // Lossless: a full shard backpressures this reader (and so
-        // the client socket). push() fails only when the queue closed
-        // under us mid-drain.
-        if (!executor_->push(home, std::move(job))) {
-            countAdmission("serve.daemon.shutdown_rejects", nullptr);
-            sendError(conn, request_id, WireCode::shuttingDown,
-                      "daemon is draining");
-        }
-        return;
-      case AdmissionPolicy::drop:
-        if (!executor_->push(home, std::move(job))) {
-            // The Job (and its payload buffer) died with the failed
-            // push; all that remains is to attribute the shed load to
-            // the tenant it belonged to and answer.
-            countAdmission("serve.daemon.drops", &drops_);
-            sendError(conn, request_id, WireCode::overloaded,
-                      "queue full (drop policy)");
-        }
-        return;
-      case AdmissionPolicy::deadline: {
-        // Wait only as long as the request itself is willing to wait.
-        // tryPush leaves the job intact on failure, so the retry loop
-        // never re-pushes a moved-from item.
-        for (;;) {
-            if (executor_->tryPush(home, job))
-                return;
-            if (draining_.load()) {
-                countAdmission("serve.daemon.shutdown_rejects", nullptr);
-                sendError(conn, request_id, WireCode::shuttingDown,
-                          "daemon is draining");
-                return;
-            }
-            if (job.hasDeadline && Clock::now() >= job.deadline) {
-                countAdmission("serve.daemon.deadline_rejects",
-                               &deadlineRejects_);
-                sendError(conn, request_id,
-                          WireCode::deadlineExceeded,
-                          "deadline expired before admission");
-                return;
-            }
-            std::this_thread::sleep_for(kAdmitPollInterval);
-        }
-      }
+    if (executor_->closed()) {
+        countAdmission("serve.daemon.shutdown_rejects", nullptr);
+        sendError(conn, job.call.id, WireCode::shuttingDown,
+                  "daemon is draining");
+    } else if (config_.admission == AdmissionPolicy::drop) {
+        // Attribute the shed load to the tenant it belonged to.
+        countAdmission("serve.daemon.drops", &drops_);
+        sendError(conn, job.call.id, WireCode::overloaded,
+                  "queue full (drop policy)");
+    } else {
+        countAdmission("serve.daemon.deadline_rejects",
+                       &deadlineRejects_);
+        sendError(conn, job.call.id, WireCode::deadlineExceeded,
+                  "deadline expired before admission");
     }
 }
 
@@ -492,11 +468,12 @@ Daemon::execute(Worker &worker, Job &job)
                   result.status.message());
         return;
     }
-    WireResponse response;
-    response.requestId = job.call.id;
-    response.serviceNs = result.serviceNs;
-    response.payload.assign(result.output.begin(), result.output.end());
-    job.conn->send(response);
+    // Straight from the worker's scratch to the socket, uncopied: the
+    // view stays valid until this worker's next call.
+    ResponseHeader header;
+    header.requestId = job.call.id;
+    header.serviceNs = result.serviceNs;
+    job.conn->send(header, {}, result.output);
 }
 
 obs::CounterSnapshot

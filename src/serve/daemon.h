@@ -4,31 +4,32 @@
  *
  * The real front end for ROADMAP item 1: where ReplayEngine replays
  * pre-built batches, the Daemon accepts live wire-protocol traffic
- * (serve/wire.h) on unix-domain and TCP listeners, admits it through
- * the same BackpressurePolicy vocabulary the replay engine uses, and
- * runs it on a serve::Executor — one process, N cores, any registry
- * codec including runtime-admitted pipeline specs.
+ * (serve/wire.h) on unix-domain and TCP listeners, admits it with one
+ * timed queue push, and runs it on a serve::Executor — one process, N
+ * cores, any registry codec including runtime-admitted pipeline specs.
  *
  * Threading model: one accept thread (poll over the listeners and a
  * shutdown self-pipe), one reader thread per connection, and the
  * executor's W worker threads. Readers parse and admit frames; workers
- * execute through the executor's per-call step and write responses (a
- * per-connection write mutex serializes interleaved responses;
- * requests on one connection may complete out of order and are matched
- * by request id). Counters follow the executor's work/runtime split;
- * admission events (drops, quota rejects) land in a separate runtime
- * registry, every drop/reject attributed to its tenant so load
- * shedding is visible per customer, not just in aggregate.
+ * execute through the executor's per-call step and write each response
+ * straight from their output scratch (a per-connection write mutex
+ * serializes interleaved responses; requests on one connection may
+ * complete out of order and are matched by request id). Counters
+ * follow the executor's work/runtime split; admission events (drops,
+ * quota rejects) land in a separate runtime registry, every
+ * drop/reject attributed to its tenant so load shedding is visible per
+ * customer, not just in aggregate.
  *
- * Admission control (DESIGN.md §16):
- *  - block: a full queue backpressures the reader (and so the client's
- *    socket) until a worker makes room — lossless.
- *  - drop: a full queue rejects immediately with `overloaded`; the
+ * Admission control (DESIGN.md §16) is one ShardedWorkQueue::push
+ * whose wait-until time point the policy picks; no reader polls:
+ *  - block: no deadline — a full queue backpressures the reader (and
+ *    so the client's socket) until a worker makes room. Lossless.
+ *  - drop: now — a full queue rejects at once with `overloaded`; the
  *    request buffer is freed on the spot.
- *  - deadline: a full queue waits only while the request's deadline
- *    has not expired, then rejects with `deadline_exceeded`; workers
- *    re-check expiry before executing so a stale call never burns
- *    codec cycles.
+ *  - deadline: the request's deadline (none if it carries none) — the
+ *    reader sleeps on the shard until room or expiry, then rejects
+ *    with `deadline_exceeded`; workers re-check expiry before
+ *    executing so a stale call never burns codec cycles.
  *
  * Graceful drain (SIGTERM in cdpud): stop accepting, shut the read
  * side of every connection, finish every admitted request, flush
@@ -81,9 +82,8 @@ struct DaemonConfig
     bool tcpEnabled = false;
     u16 tcpPort = 0;
 
+    /** Workers, each with its own queue shard. */
     unsigned workers = 2;
-    /** Queue shards; 0 = one per worker. */
-    unsigned shards = 0;
     /** Requests a shard holds before admission control engages. */
     std::size_t shardCapacity = 64;
     AdmissionPolicy admission = AdmissionPolicy::block;

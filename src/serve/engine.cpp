@@ -58,8 +58,6 @@ ReplayEngine::ReplayEngine(const EngineConfig &config) : config_(config)
 {
     if (config_.workers == 0)
         config_.workers = 1;
-    if (config_.shards == 0)
-        config_.shards = config_.workers;
     if (config_.batchSize == 0)
         config_.batchSize = 1;
     if (config_.shardCapacity == 0)
@@ -74,8 +72,8 @@ ReplayEngine::run(const hcb::CallStream &stream)
     const auto started = Clock::now();
 
     Executor<hcb::CallBatch> executor(
-        config_.workers, config_.shards, config_.shardCapacity,
-        config_.policy, config_.telemetry, "serve",
+        config_.workers, config_.shardCapacity, config_.telemetry,
+        "serve",
         [&](Worker &worker, hcb::CallBatch &batch) {
             for (std::size_t i = 0; i < batch.count; ++i) {
                 const hcb::ReplayCall &call = batch.calls[i];
@@ -84,22 +82,16 @@ ReplayEngine::run(const hcb::CallStream &stream)
             }
         });
 
-    // Producer: feed batches round-robin across shards so every worker
-    // has a home stream of work; stealing levels the imbalance.
-    u64 dropped_calls = 0;
+    // Producer: feed batches round-robin across the workers' shards so
+    // every worker has a home stream of work; stealing levels the
+    // imbalance. A full shard blocks the producer: replay is lossless.
     auto batches = stream.batches(config_.batchSize);
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-        unsigned home = static_cast<unsigned>(b % config_.shards);
-        if (!executor.push(home, batches[b]))
-            dropped_calls += batches[b].count;
-    }
+    for (std::size_t b = 0; b < batches.size(); ++b)
+        executor.push(static_cast<unsigned>(b % config_.workers),
+                      batches[b], kNoDeadline);
     executor.finish();
 
     finishReport(report, executor, started);
-    obs::CounterRegistry drop_registry;
-    drop_registry.counter("serve.drops").add(dropped_calls);
-    report.runtime.merge(drop_registry.snapshot());
-    report.dropped = dropped_calls;
     return report;
 }
 

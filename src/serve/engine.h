@@ -8,13 +8,14 @@
  * round-robin over the queue shards) and fills one CallOutcome per
  * call from the executor's per-call step.
  *
- * Determinism contract: with the block backpressure policy, the
- * *work* a replay performs is a pure function of the stream — every
- * call executes exactly once, so ReplayReport::work (call/byte
- * counters, size histograms, kernel.* fast-path totals) and the
- * per-call outcomes (sizes, hashes) are identical for any worker
- * count, including the no-thread replaySequential() reference. What
- * the scheduler decided — latencies, steals, drops — lands in
+ * Determinism contract: replay is lossless — a full queue shard makes
+ * the producer wait, it never drops — so the *work* a replay performs
+ * is a pure function of the stream. Every call executes exactly once,
+ * so ReplayReport::work (call/byte counters, size histograms, kernel.*
+ * fast-path totals) and the per-call outcomes (sizes, hashes) are
+ * identical for any worker count, including the no-thread
+ * replaySequential() reference. What
+ * the scheduler decided — latencies, steals — lands in
  * ReplayReport::runtime and is NOT comparable across runs. The
  * differential tests pin the first contract; the bench reports the
  * second.
@@ -27,20 +28,16 @@
 #include "obs/counters.h"
 #include "obs/telemetry.h"
 #include "serve/codec_context.h"
-#include "serve/queue.h"
 
 namespace cdpu::serve
 {
 
 struct EngineConfig
 {
+    /** Workers, each with its own queue shard. */
     unsigned workers = 1;
-    /** Queue shards; 0 means one per worker (the stealing-friendly
-     *  default). */
-    unsigned shards = 0;
-    /** Batches a shard holds before producers feel backpressure. */
+    /** Batches a shard holds before the producer waits for room. */
     std::size_t shardCapacity = 8;
-    BackpressurePolicy policy = BackpressurePolicy::block;
     /** Calls per queue item; amortizes queue traffic per the fleet's
      *  small-call distribution (Figure 6: most calls are tiny). */
     std::size_t batchSize = 8;
@@ -63,7 +60,7 @@ struct EngineConfig
 /** Per-call result slot; index in ReplayReport::outcomes == call id. */
 struct CallOutcome
 {
-    bool executed = false; ///< False when dropped by backpressure.
+    bool executed = false; ///< Set once the call ran.
     bool ok = false;
     std::size_t outputBytes = 0;
     u64 outputHash = 0; ///< FNV-1a of the output bytes.
@@ -77,11 +74,11 @@ struct ReplayReport
     /** Deterministic accounting: serve.calls[.codec|.direction],
      *  serve.bytes.{in,out}, serve.failures, call-size histograms,
      *  and the merged kernel.* fast-path totals. Equal across worker
-     *  counts under the block policy. */
+     *  counts. */
     obs::CounterSnapshot work;
 
     /** Scheduling-dependent accounting: serve.latency_ns (+
-     *  dimensioned cells), serve.steals, serve.drops, serve.batches. */
+     *  dimensioned cells), serve.steals, serve.batches. */
     obs::CounterSnapshot runtime;
 
     /** Merged per-thread fast-path stats (also exported into work). */
@@ -99,7 +96,6 @@ struct ReplayReport
 
     double elapsedSeconds = 0.0;
     u64 executed = 0;
-    u64 dropped = 0;
     u64 failed = 0;
 
     /** All accessors read 0 / empty for streams that executed no

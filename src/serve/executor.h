@@ -8,9 +8,10 @@
  * worker threads, a ShardedWorkQueue with stealing, one CodecContext
  * per worker, the work/runtime counter split, the kernel.* fold, the
  * steal/batch counts and all per-call telemetry — and a front end is a
- * producer (push/tryPush) plus an item handler run on a worker. The
- * no-thread oracles run one Worker on the calling thread through
- * ExecutorCore::runAs(), so oracle and pool share one per-call step.
+ * producer (push, which waits for room until a time point the producer
+ * picks) plus an item handler run on a worker. The no-thread oracles
+ * run one Worker on the calling thread through ExecutorCore::runAs(),
+ * so oracle and pool share one per-call step.
  */
 
 #ifndef CDPU_SERVE_EXECUTOR_H_
@@ -180,14 +181,12 @@ template <typename Item> class Executor : public ExecutorCore
   public:
     using Handler = std::function<void(Worker &, Item &)>;
 
-    /** @p shards 0 means one queue shard per worker. */
-    Executor(unsigned workers, unsigned shards,
-             std::size_t shard_capacity, BackpressurePolicy policy,
+    /** One queue shard of @p shard_capacity items per worker. */
+    Executor(unsigned workers, std::size_t shard_capacity,
              obs::Telemetry *telemetry, const std::string &scope,
              Handler handler)
         : ExecutorCore(workers, telemetry),
-          queue_(shards == 0 ? workerCount() : shards, shard_capacity,
-                 policy),
+          queue_(workerCount(), shard_capacity),
           stealsName_(scope + ".steals"),
           batchesName_(scope + ".batches"), handler_(std::move(handler))
     {
@@ -204,15 +203,14 @@ template <typename Item> class Executor : public ExecutorCore
 
     ~Executor() { finish(); }
 
-    /** ShardedWorkQueue::push / tryPush on shard @p home. */
-    bool push(unsigned home, Item item)
+    /** ShardedWorkQueue::push on shard @p home. */
+    bool push(unsigned home, Item &item, QueueClock::time_point until)
     {
-        return queue_.push(home, std::move(item));
+        return queue_.push(home, item, until);
     }
-    bool tryPush(unsigned home, Item &item)
-    {
-        return queue_.tryPush(home, item);
-    }
+
+    /** True once finish() closed the queue: every push fails. */
+    bool closed() const { return queue_.isClosed(); }
 
     /** Idempotent; call from the producer side only. */
     void

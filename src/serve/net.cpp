@@ -1,11 +1,14 @@
 #include "serve/net.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -19,6 +22,42 @@ Status
 errnoStatus(const std::string &what)
 {
     return Status::io(what + ": " + std::strerror(errno));
+}
+
+/** Sends every byte of @p parts in order with gathering
+ *  sendmsg(MSG_NOSIGNAL) calls, resuming after short writes and EINTR;
+ *  consumes @p parts as it goes. */
+Status
+sendAll(int fd, iovec *parts, std::size_t count)
+{
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = count;
+    for (;;) {
+        while (message.msg_iovlen > 0 && message.msg_iov->iov_len == 0) {
+            ++message.msg_iov;
+            --message.msg_iovlen;
+        }
+        if (message.msg_iovlen == 0)
+            return Status::okStatus();
+        ssize_t put = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+        if (put < 0) {
+            if (errno == EINTR)
+                continue;
+            return errnoStatus("sendmsg");
+        }
+        for (auto left = static_cast<std::size_t>(put); left > 0;) {
+            iovec &part = *message.msg_iov;
+            const std::size_t step = std::min(left, part.iov_len);
+            part.iov_base = static_cast<u8 *>(part.iov_base) + step;
+            part.iov_len -= step;
+            left -= step;
+            if (part.iov_len == 0) {
+                ++message.msg_iov;
+                --message.msg_iovlen;
+            }
+        }
+    }
 }
 
 } // namespace
@@ -63,18 +102,8 @@ readFull(int fd, u8 *out, std::size_t size)
 Status
 writeFull(int fd, const u8 *data, std::size_t size)
 {
-    std::size_t done = 0;
-    while (done < size) {
-        ssize_t put = ::send(fd, data + done, size - done, MSG_NOSIGNAL);
-        if (put >= 0) {
-            done += static_cast<std::size_t>(put);
-            continue;
-        }
-        if (errno == EINTR)
-            continue;
-        return errnoStatus("send");
-    }
-    return Status::okStatus();
+    iovec part{const_cast<u8 *>(data), size};
+    return sendAll(fd, &part, 1);
 }
 
 namespace
@@ -155,10 +184,19 @@ writeRequestFrame(int fd, const WireRequest &request)
 }
 
 Status
-writeResponseFrame(int fd, const WireResponse &response)
+writeResponseFrame(int fd, ResponseHeader header, std::string_view message,
+                   ByteSpan payload)
 {
-    Bytes frame = encodeResponse(response);
-    return writeFull(fd, frame.data(), frame.size());
+    header.messageBytes = message.size();
+    header.payloadBytes = payload.size();
+    u8 head[kResponseHeaderBytes];
+    encodeResponseHeader(header, head);
+    iovec parts[] = {
+        {head, sizeof head},
+        {const_cast<char *>(message.data()), message.size()},
+        {const_cast<u8 *>(payload.data()), payload.size()},
+    };
+    return sendAll(fd, parts, std::size(parts));
 }
 
 Result<Fd>

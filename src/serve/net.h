@@ -21,6 +21,8 @@
 #ifndef CDPU_SERVE_NET_H_
 #define CDPU_SERVE_NET_H_
 
+#include <string_view>
+
 #include "serve/wire.h"
 
 namespace cdpu::serve
@@ -101,7 +103,16 @@ Status readResponseFrame(int fd, const WireLimits &limits,
 
 /** Encodes and writes one frame. */
 Status writeRequestFrame(int fd, const WireRequest &request);
-Status writeResponseFrame(int fd, const WireResponse &response);
+
+/**
+ * Writes one response frame from its parts, as writeFull does: the
+ * fixed header (@p header, its byte counts taken from @p message and
+ * @p payload), then the message and the payload gathered from where
+ * they lie — no frame buffer, and one sendmsg unless the socket takes
+ * a short write.
+ */
+Status writeResponseFrame(int fd, ResponseHeader header,
+                          std::string_view message, ByteSpan payload);
 
 /** Binds and listens on a unix-domain socket at @p path (unlinking a
  *  stale socket file first). */

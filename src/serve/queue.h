@@ -18,13 +18,23 @@
  *    A scanner can therefore pop an item before its producer has
  *    incremented, transiently driving the counter negative — which is
  *    why it is signed. It is never negative at quiescence.
- *  - close() wakes everyone; pop() returns false only when closed and
- *    drained, so no accepted item is ever lost on shutdown.
+ *  - A producer facing a full shard waits on its not-full condvar
+ *    until a time point it chooses (push's @p until). That one
+ *    primitive is every admission decision: kNoDeadline is lossless
+ *    backpressure, "now" is load shedding, a request's deadline is a
+ *    bounded wait. No caller polls.
+ *  - close() wakes everyone. push() checks the closed flag under the
+ *    shard lock, so nothing enters a closed queue; pop() returns false
+ *    only when closed and drained, so no accepted item is ever lost
+ *    on shutdown.
+ *  - Lock order: a shard mutex may be held while taking the signal
+ *    mutex (push's closed check), never the reverse.
  */
 
 #ifndef CDPU_SERVE_QUEUE_H_
 #define CDPU_SERVE_QUEUE_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <memory>
@@ -36,32 +46,21 @@
 namespace cdpu::serve
 {
 
-/** What a producer does when its target shard is full. */
-enum class BackpressurePolicy
-{
-    block, ///< Wait for a consumer to make room (lossless).
-    drop,  ///< Reject the item; push() returns false (load shedding).
-};
+using QueueClock = std::chrono::steady_clock;
 
-/** Returns the policy's knob spelling ("block" / "drop"). */
-inline const char *
-backpressurePolicyName(BackpressurePolicy policy)
-{
-    return policy == BackpressurePolicy::block ? "block" : "drop";
-}
+/** A push deadline that never expires: wait for room or for close(). */
+inline constexpr QueueClock::time_point kNoDeadline =
+    QueueClock::time_point::max();
 
 template <typename T> class ShardedWorkQueue
 {
   public:
     /**
      * @param shards        Number of independent shards (clamped >= 1).
-     * @param shard_capacity Max items per shard before backpressure.
-     * @param policy        Producer behavior on a full shard.
+     * @param shard_capacity Max items per shard before a push waits.
      */
-    ShardedWorkQueue(unsigned shards, std::size_t shard_capacity,
-                     BackpressurePolicy policy)
-        : capacity_(shard_capacity > 0 ? shard_capacity : 1),
-          policy_(policy)
+    ShardedWorkQueue(unsigned shards, std::size_t shard_capacity)
+        : capacity_(shard_capacity > 0 ? shard_capacity : 1)
     {
         if (shards == 0)
             shards = 1;
@@ -76,50 +75,27 @@ template <typename T> class ShardedWorkQueue
     }
 
     /**
-     * Enqueues @p item on shard (@p home % shards). Returns true if
-     * accepted. Under the drop policy a full shard rejects the item
-     * and returns false; under the block policy this waits until the
-     * shard has room (or the queue closes — then returns false).
+     * Enqueues @p item on shard (@p home % shards), waiting for room
+     * until @p until: kNoDeadline waits as long as it takes, a time
+     * point at or before now does not wait at all. Returns true once
+     * the item is in, and only then moves from @p item; a full shard
+     * at @p until or a closed queue returns false with @p item intact.
      */
-    bool push(unsigned home, T item)
+    bool push(unsigned home, T &item, QueueClock::time_point until)
     {
         Shard &shard = *shards_[home % shards_.size()];
         {
             std::unique_lock<std::mutex> lock(shard.mutex);
-            if (shard.items.size() >= capacity_) {
-                if (policy_ == BackpressurePolicy::drop)
-                    return false;
-                shard.notFull.wait(lock, [&] {
-                    return shard.items.size() < capacity_ || isClosed();
-                });
-                if (shard.items.size() >= capacity_)
-                    return false; // closed while full
-            }
-            shard.items.push_back(std::move(item));
-        }
-        {
-            std::lock_guard<std::mutex> lock(signalMutex_);
-            ++pending_;
-        }
-        workAvailable_.notify_one();
-        return true;
-    }
-
-    /**
-     * Non-blocking push: enqueues on shard (@p home % shards) when it
-     * has room, moving from @p item only on success. A full shard or a
-     * closed queue returns false with @p item intact — the caller
-     * keeps ownership, so a bounded-wait producer (the daemon's
-     * deadline admission policy) can retry the same item until its
-     * deadline expires instead of losing it to a consumed-by-value
-     * push().
-     */
-    bool tryPush(unsigned home, T &item)
-    {
-        Shard &shard = *shards_[home % shards_.size()];
-        {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            if (shard.items.size() >= capacity_ || isClosed())
+            const auto ready = [&] {
+                return shard.items.size() < capacity_ || isClosed();
+            };
+            // wait_until(max()) can overflow converting to the
+            // condvar's clock, so "never give up" takes plain wait().
+            if (until == kNoDeadline)
+                shard.notFull.wait(lock, ready);
+            else if (!shard.notFull.wait_until(lock, until, ready))
+                return false;
+            if (isClosed())
                 return false;
             shard.items.push_back(std::move(item));
         }
@@ -179,7 +155,8 @@ template <typename T> class ShardedWorkQueue
         return false;
     }
 
-    /** Stops accepting blocked pushes and lets consumers drain out. */
+    /** Rejects every later push, wakes the waiting ones (they return
+     *  false) and lets consumers drain what was accepted. */
     void close()
     {
         {
@@ -187,8 +164,12 @@ template <typename T> class ShardedWorkQueue
             closed_ = true;
         }
         workAvailable_.notify_all();
-        for (auto &shard : shards_)
+        // Under each shard's lock: a producer between its predicate
+        // check and its wait cannot miss the wake-up.
+        for (auto &shard : shards_) {
+            std::lock_guard<std::mutex> lock(shard->mutex);
             shard->notFull.notify_all();
+        }
     }
 
     bool isClosed() const
@@ -213,7 +194,6 @@ template <typename T> class ShardedWorkQueue
     };
 
     const std::size_t capacity_;
-    const BackpressurePolicy policy_;
     std::vector<std::unique_ptr<Shard>> shards_;
 
     mutable std::mutex signalMutex_;

@@ -1,5 +1,6 @@
 #include "serve/wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace cdpu::serve
@@ -52,6 +53,16 @@ getU64(ByteSpan data, std::size_t pos)
     for (int i = 7; i >= 0; --i)
         value = (value << 8) | data[pos + static_cast<std::size_t>(i)];
     return value;
+}
+
+/** Stores the low @p bytes bytes of @p value little-endian at @p out;
+ *  returns the position after them. */
+u8 *
+storeLe(u8 *out, u64 value, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        *out++ = static_cast<u8>(value >> (8 * i));
+    return out;
 }
 
 bool
@@ -120,20 +131,30 @@ encodeRequest(const WireRequest &request)
     return out;
 }
 
+void
+encodeResponseHeader(const ResponseHeader &header, u8 *out)
+{
+    out = std::copy(std::begin(kResponseMagic), std::end(kResponseMagic),
+                    out);
+    *out++ = kWireVersion;
+    *out++ = static_cast<u8>(header.code);
+    out = storeLe(out, header.messageBytes, 2);
+    out = storeLe(out, header.requestId, 8);
+    out = storeLe(out, header.payloadBytes, 4);
+    storeLe(out, header.serviceNs, 8);
+}
+
 Bytes
 encodeResponse(const WireResponse &response)
 {
-    Bytes out;
-    out.reserve(kResponseHeaderBytes + response.message.size() +
-                response.payload.size());
-    out.insert(out.end(), std::begin(kResponseMagic),
-               std::end(kResponseMagic));
-    out.push_back(kWireVersion);
-    out.push_back(static_cast<u8>(response.code));
-    putU16(out, static_cast<u16>(response.message.size()));
-    putU64(out, response.requestId);
-    putU32(out, static_cast<u32>(response.payload.size()));
-    putU64(out, response.serviceNs);
+    ResponseHeader header;
+    header.code = response.code;
+    header.messageBytes = response.message.size();
+    header.requestId = response.requestId;
+    header.payloadBytes = response.payload.size();
+    header.serviceNs = response.serviceNs;
+    Bytes out(kResponseHeaderBytes);
+    encodeResponseHeader(header, out.data());
     out.insert(out.end(), response.message.begin(),
                response.message.end());
     out.insert(out.end(), response.payload.begin(),

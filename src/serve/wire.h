@@ -152,6 +152,9 @@ struct ResponseHeader
 Bytes encodeRequest(const WireRequest &request);
 /** Serializes @p response as one frame. */
 Bytes encodeResponse(const WireResponse &response);
+/** Writes @p header's kResponseHeaderBytes fixed bytes to @p out: the
+ *  start of a response frame, which the message and payload follow. */
+void encodeResponseHeader(const ResponseHeader &header, u8 *out);
 
 /**
  * Validates and decodes a fixed request header. @p header must be

@@ -794,6 +794,38 @@ TEST(DaemonTest, DeadlinePolicyRejectsWhatItCannotServeInTime)
               expired);
 }
 
+TEST(DaemonTest, DeadlineBeyondTheClockRangeIsNoDeadline)
+{
+    // A relative deadline the steady clock cannot represent used to
+    // overflow into the past, expiring the call on arrival.
+    DaemonConfig config;
+    config.unixPath = testSocketPath("far-deadline");
+    config.workers = 1;
+    config.admission = AdmissionPolicy::deadline;
+    Daemon daemon(config);
+    ASSERT_TRUE(daemon.start().ok());
+
+    Result<DaemonClient> client =
+        DaemonClient::connectToUnix(config.unixPath);
+    ASSERT_TRUE(client.ok());
+    const Bytes payload = samplePayload(256, 15);
+    u64 id = 0;
+    for (u64 deadline : {~u64{0}, u64{1} << 63, (u64{1} << 63) - 1}) {
+        WireRequest request = makeRequest(
+            ++id, "snappy", codec::Direction::compress, payload);
+        request.deadlineNs = deadline;
+        Result<WireResponse> response = client.value().call(request);
+        ASSERT_TRUE(response.ok()) << response.status().message();
+        EXPECT_EQ(response.value().code, WireCode::ok)
+            << "deadline " << deadline << ": "
+            << response.value().message;
+    }
+
+    DaemonReport report = daemon.drain();
+    EXPECT_EQ(report.executed, id);
+    EXPECT_EQ(report.deadlineRejected, 0u);
+}
+
 // --- Daemon: graceful drain -------------------------------------------
 
 TEST(DaemonTest, GracefulDrainAnswersEveryAdmittedRequest)

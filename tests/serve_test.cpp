@@ -1,6 +1,6 @@
 /**
  * @file
- * Serve-layer battery: queue semantics (stealing, backpressure,
+ * Serve-layer battery: queue semantics (stealing, timed pushes,
  * shutdown drain) and the engine's determinism contract — any worker
  * count must replay a stream to byte-identical per-call outputs and
  * an identical deterministic ("work") counter snapshot versus the
@@ -29,12 +29,21 @@ namespace
 
 // --- ShardedWorkQueue -------------------------------------------------
 
+/** push() of a temporary: the queue takes its item as an lvalue. */
+template <typename T>
+bool
+pushValue(ShardedWorkQueue<T> &queue, unsigned home, T item,
+          QueueClock::time_point until = kNoDeadline)
+{
+    return queue.push(home, item, until);
+}
+
 TEST(ShardedWorkQueueTest, FifoWithinShard)
 {
-    ShardedWorkQueue<int> queue(1, 8, BackpressurePolicy::block);
-    EXPECT_TRUE(queue.push(0, 1));
-    EXPECT_TRUE(queue.push(0, 2));
-    EXPECT_TRUE(queue.push(0, 3));
+    ShardedWorkQueue<int> queue(1, 8);
+    EXPECT_TRUE(pushValue(queue, 0, 1));
+    EXPECT_TRUE(pushValue(queue, 0, 2));
+    EXPECT_TRUE(pushValue(queue, 0, 3));
     int item = 0;
     EXPECT_TRUE(queue.tryPop(0, item));
     EXPECT_EQ(item, 1);
@@ -45,40 +54,116 @@ TEST(ShardedWorkQueueTest, FifoWithinShard)
     EXPECT_FALSE(queue.tryPop(0, item));
 }
 
-TEST(ShardedWorkQueueTest, DropPolicyRejectsWhenFull)
+TEST(ShardedWorkQueueTest, ExpiredDeadlineRejectsWhenFull)
 {
-    ShardedWorkQueue<int> queue(2, 2, BackpressurePolicy::drop);
-    EXPECT_TRUE(queue.push(0, 1));
-    EXPECT_TRUE(queue.push(0, 2));
-    EXPECT_FALSE(queue.push(0, 3)); // shard 0 full -> shed
-    EXPECT_TRUE(queue.push(1, 4));  // shard 1 untouched
+    // A time point already passed is load shedding: no wait at all.
+    ShardedWorkQueue<int> queue(2, 2);
+    const QueueClock::time_point now = QueueClock::now();
+    EXPECT_TRUE(pushValue(queue, 0, 1, now));
+    EXPECT_TRUE(pushValue(queue, 0, 2, now));
+    EXPECT_FALSE(pushValue(queue, 0, 3, now)); // shard 0 full -> shed
+    EXPECT_TRUE(pushValue(queue, 1, 4, now));  // shard 1 untouched
     EXPECT_EQ(queue.pendingApprox(), 3);
 }
 
-TEST(ShardedWorkQueueTest, TryPushLeavesTheItemIntactOnFailure)
+TEST(ShardedWorkQueueTest, FailedPushLeavesTheItemIntact)
 {
-    // The daemon's deadline admission retries tryPush until the
-    // request's deadline expires; a failed attempt must not consume
-    // the job (push() takes by value and would destroy it).
-    ShardedWorkQueue<std::string> queue(1, 1,
-                                        BackpressurePolicy::drop);
+    // The daemon answers a rejected request from the job it still
+    // holds; a failed push must not consume it.
+    ShardedWorkQueue<std::string> queue(1, 1);
+    const QueueClock::time_point now = QueueClock::now();
     std::string keep = "payload-survives-rejection";
-    EXPECT_TRUE(queue.tryPush(0, keep)); // Moved in: shard now full.
+    EXPECT_TRUE(queue.push(0, keep, now)); // Moved in: shard now full.
     keep = "payload-survives-rejection";
-    EXPECT_FALSE(queue.tryPush(0, keep));
+    EXPECT_FALSE(queue.push(0, keep, now));
     EXPECT_EQ(keep, "payload-survives-rejection");
 
     std::string out;
     EXPECT_TRUE(queue.tryPop(0, out));
-    EXPECT_TRUE(queue.tryPush(0, keep)); // Room again: move succeeds.
+    EXPECT_TRUE(queue.push(0, keep, now)); // Room again: move succeeds.
     queue.close();
-    EXPECT_FALSE(queue.tryPush(0, out)); // Closed always rejects.
+    EXPECT_FALSE(queue.push(0, out, now)); // Closed always rejects.
+}
+
+TEST(ShardedWorkQueueTest, ClosedQueueRejectsEvenWithRoom)
+{
+    // Only a full shard used to look at the closed flag, so a push
+    // into a closed queue with room got in.
+    ShardedWorkQueue<std::string> queue(1, 8);
+    queue.close();
+    std::string keep = "never-enqueued";
+    EXPECT_FALSE(queue.push(0, keep, kNoDeadline));
+    EXPECT_EQ(keep, "never-enqueued");
+    EXPECT_FALSE(queue.push(0, keep, QueueClock::now()));
+    EXPECT_EQ(keep, "never-enqueued");
+    EXPECT_EQ(queue.pendingApprox(), 0);
+    std::string out;
+    EXPECT_FALSE(queue.pop(0, out));
+}
+
+TEST(ShardedWorkQueueTest, TimedPushGivesUpAtItsDeadline)
+{
+    ShardedWorkQueue<std::string> queue(1, 1);
+    ASSERT_TRUE(pushValue<std::string>(queue, 0, "occupant"));
+    const auto wait = std::chrono::milliseconds(20);
+    const QueueClock::time_point started = QueueClock::now();
+    std::string keep = "late";
+    EXPECT_FALSE(queue.push(0, keep, started + wait));
+    EXPECT_GE(QueueClock::now() - started, wait);
+    EXPECT_EQ(keep, "late");
+    EXPECT_EQ(queue.pendingApprox(), 1);
+}
+
+TEST(ShardedWorkQueueTest, PopBeforeTheDeadlineAdmitsTheTimedPush)
+{
+    ShardedWorkQueue<int> queue(1, 1);
+    ASSERT_TRUE(pushValue(queue, 0, 1));
+    std::atomic<bool> waiting{false};
+    std::thread consumer([&] {
+        while (!waiting.load())
+            std::this_thread::yield();
+        // Most likely parked by now; either way the push must get in.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        int item = 0;
+        EXPECT_TRUE(queue.pop(0, item));
+        EXPECT_EQ(item, 1);
+    });
+    int second = 2;
+    waiting = true;
+    // Generous: the pop, not the deadline, must end this wait.
+    EXPECT_TRUE(queue.push(0, second,
+                           QueueClock::now() + std::chrono::seconds(30)));
+    consumer.join();
+    int item = 0;
+    EXPECT_TRUE(queue.tryPop(0, item));
+    EXPECT_EQ(item, 2);
+}
+
+TEST(ShardedWorkQueueTest, CloseWakesAPushWithNoDeadline)
+{
+    ShardedWorkQueue<int> queue(1, 1);
+    ASSERT_TRUE(pushValue(queue, 0, 1));
+    std::atomic<bool> returned{false};
+    std::atomic<bool> accepted{true};
+    std::thread producer([&] {
+        accepted = pushValue(queue, 0, 2); // Full: waits for close().
+        returned = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_FALSE(returned.load());
+    queue.close();
+    producer.join();
+    EXPECT_FALSE(accepted.load());
+    int item = 0;
+    EXPECT_TRUE(queue.pop(0, item)); // The occupant still drains.
+    EXPECT_EQ(item, 1);
+    EXPECT_FALSE(queue.pop(0, item));
 }
 
 TEST(ShardedWorkQueueTest, StealsFromOtherShards)
 {
-    ShardedWorkQueue<int> queue(4, 8, BackpressurePolicy::block);
-    EXPECT_TRUE(queue.push(0, 42));
+    ShardedWorkQueue<int> queue(4, 8);
+    EXPECT_TRUE(pushValue(queue, 0, 42));
     int item = 0;
     bool stolen = false;
     // Home shard 2 is empty; the scan must find shard 0's item.
@@ -86,7 +171,7 @@ TEST(ShardedWorkQueueTest, StealsFromOtherShards)
     EXPECT_EQ(item, 42);
     EXPECT_TRUE(stolen);
 
-    EXPECT_TRUE(queue.push(1, 7));
+    EXPECT_TRUE(pushValue(queue, 1, 7));
     EXPECT_TRUE(queue.pop(1, item, &stolen));
     EXPECT_EQ(item, 7);
     EXPECT_FALSE(stolen); // home hit
@@ -94,9 +179,9 @@ TEST(ShardedWorkQueueTest, StealsFromOtherShards)
 
 TEST(ShardedWorkQueueTest, CloseDrainsAcceptedItems)
 {
-    ShardedWorkQueue<int> queue(2, 8, BackpressurePolicy::block);
+    ShardedWorkQueue<int> queue(2, 8);
     for (int i = 0; i < 6; ++i)
-        EXPECT_TRUE(queue.push(static_cast<unsigned>(i), i));
+        EXPECT_TRUE(pushValue(queue, static_cast<unsigned>(i), i));
     queue.close();
     int seen = 0;
     int item = 0;
@@ -107,7 +192,7 @@ TEST(ShardedWorkQueueTest, CloseDrainsAcceptedItems)
 
 TEST(ShardedWorkQueueTest, PopBlocksUntilPushOrClose)
 {
-    ShardedWorkQueue<int> queue(1, 4, BackpressurePolicy::block);
+    ShardedWorkQueue<int> queue(1, 4);
     std::atomic<int> got{-1};
     std::thread consumer([&] {
         int item = 0;
@@ -115,7 +200,7 @@ TEST(ShardedWorkQueueTest, PopBlocksUntilPushOrClose)
             got = item;
     });
     // The consumer parks; a push must wake it.
-    queue.push(0, 99);
+    pushValue(queue, 0, 99);
     consumer.join();
     EXPECT_EQ(got.load(), 99);
 
@@ -130,13 +215,14 @@ TEST(ShardedWorkQueueTest, PopBlocksUntilPushOrClose)
     EXPECT_TRUE(returned.load());
 }
 
-TEST(ShardedWorkQueueTest, BlockPolicyWaitsForRoom)
+TEST(ShardedWorkQueueTest, NoDeadlinePushWaitsForRoom)
 {
-    ShardedWorkQueue<int> queue(1, 1, BackpressurePolicy::block);
-    EXPECT_TRUE(queue.push(0, 1));
+    ShardedWorkQueue<int> queue(1, 1);
+    EXPECT_TRUE(pushValue(queue, 0, 1));
     std::atomic<bool> second_accepted{false};
     std::thread producer([&] {
-        second_accepted = queue.push(0, 2); // blocks on the full shard
+        // Waits on the full shard.
+        second_accepted = pushValue(queue, 0, 2);
     });
     int item = 0;
     EXPECT_TRUE(queue.pop(0, item));
@@ -152,8 +238,7 @@ TEST(ShardedWorkQueueTest, ConcurrentProducersConsumersLoseNothing)
     constexpr int kProducers = 4;
     constexpr int kConsumers = 4;
     constexpr int kPerProducer = 250;
-    ShardedWorkQueue<int> queue(kConsumers, 16,
-                                BackpressurePolicy::block);
+    ShardedWorkQueue<int> queue(kConsumers, 16);
     std::atomic<long> sum{0};
     std::atomic<long> count{0};
 
@@ -171,8 +256,8 @@ TEST(ShardedWorkQueueTest, ConcurrentProducersConsumersLoseNothing)
     for (int p = 0; p < kProducers; ++p) {
         producers.emplace_back([&, p] {
             for (int i = 0; i < kPerProducer; ++i)
-                queue.push(static_cast<unsigned>(p),
-                           p * kPerProducer + i);
+                pushValue(queue, static_cast<unsigned>(p),
+                          p * kPerProducer + i);
         });
     }
     for (auto &producer : producers)
@@ -224,7 +309,6 @@ expectReplayMatchesReference(const ReplayReport &parallel,
     ASSERT_EQ(parallel.outcomes.size(), reference.outcomes.size());
     EXPECT_EQ(parallel.executed, reference.executed);
     EXPECT_EQ(parallel.failed, 0u);
-    EXPECT_EQ(parallel.dropped, 0u);
     for (std::size_t i = 0; i < parallel.outcomes.size(); ++i) {
         const CallOutcome &got = parallel.outcomes[i];
         const CallOutcome &want = reference.outcomes[i];
@@ -448,7 +532,6 @@ TEST(ReplayEngineTest, SmallBatchesAndFewShardsStillMatch)
 
     EngineConfig config;
     config.workers = 4;
-    config.shards = 2;     // more workers than shards: heavy stealing
     config.batchSize = 1;  // max queue traffic
     config.shardCapacity = 2; // producer feels backpressure
     config.recordOutputs = true;
@@ -458,9 +541,9 @@ TEST(ReplayEngineTest, SmallBatchesAndFewShardsStillMatch)
 
 TEST(ReplayEngineTest, ShutdownDrainExecutesEveryAcceptedCall)
 {
-    // Block policy + tiny queue: the producer stalls repeatedly and
-    // close() arrives while workers still hold queued batches. Every
-    // call must still execute exactly once.
+    // Tiny queue: the producer stalls repeatedly and close() arrives
+    // while workers still hold queued batches. Every call must still
+    // execute exactly once.
     auto stream = buildMixedStream(smallStreamConfig());
     ASSERT_TRUE(stream.ok());
     EngineConfig config;
@@ -470,34 +553,8 @@ TEST(ReplayEngineTest, ShutdownDrainExecutesEveryAcceptedCall)
     ReplayEngine engine(config);
     ReplayReport report = engine.run(stream.value());
     EXPECT_EQ(report.executed, stream.value().size());
-    EXPECT_EQ(report.dropped, 0u);
     EXPECT_EQ(report.failed, 0u);
     EXPECT_EQ(report.work.at("serve.calls"), stream.value().size());
-}
-
-TEST(ReplayEngineTest, DropPolicyAccountingIsConsistent)
-{
-    // Drops depend on scheduling, so assert the invariants rather than
-    // a drop count: executed + dropped covers the stream, outcomes
-    // agree with the counters, and nothing both dropped and executed.
-    auto stream = buildMixedStream(smallStreamConfig());
-    ASSERT_TRUE(stream.ok());
-    EngineConfig config;
-    config.workers = 2;
-    config.policy = BackpressurePolicy::drop;
-    config.shardCapacity = 1;
-    config.batchSize = 1;
-    ReplayEngine engine(config);
-    ReplayReport report = engine.run(stream.value());
-
-    EXPECT_EQ(report.executed + report.dropped, stream.value().size());
-    EXPECT_EQ(report.work.at("serve.calls"), report.executed);
-    EXPECT_EQ(report.runtime.at("serve.drops"), report.dropped);
-    u64 executed_outcomes = 0;
-    for (const CallOutcome &outcome : report.outcomes)
-        executed_outcomes += outcome.executed ? 1 : 0;
-    EXPECT_EQ(executed_outcomes, report.executed);
-    EXPECT_EQ(report.failed, 0u);
 }
 
 TEST(ReplayEngineTest, WorkCountersCoverEveryCodecAndDirection)
