@@ -141,9 +141,8 @@ run(int argc, char **argv)
                 static_cast<double>(input.size()) /
                     static_cast<double>(kMiB),
                 host_cpus);
-    std::printf("%10s %10s %8s %10s %12s %10s %8s\n", "codec",
-                "block", "workers", "ratio", "MB/s", "blocks",
-                "steals");
+    std::printf("%10s %10s %8s %10s %12s %10s\n", "codec", "block",
+                "workers", "ratio", "MB/s", "blocks");
 
     double mb_per_sec_1w = 0.0;
     double mb_per_sec_best = 0.0;
@@ -201,18 +200,15 @@ run(int argc, char **argv)
                     mb_per_sec_best =
                         std::max(mb_per_sec_best, mb_per_sec);
                 }
-                const u64 steals =
-                    decode_report.runtime.at("container.steals");
                 std::printf(
-                    "%10s %10zu %8u %10.3f %12.1f %10llu %8llu\n",
+                    "%10s %10zu %8u %10.3f %12.1f %10llu\n",
                     codec::codecName(id).c_str(), block_bytes,
                     workers,
                     static_cast<double>(frame.size()) /
                         static_cast<double>(input.size()),
                     mb_per_sec,
                     static_cast<unsigned long long>(
-                        decode_report.blocks),
-                    static_cast<unsigned long long>(steals));
+                        decode_report.blocks));
 
                 obs::JsonValue point = obs::JsonValue::object();
                 point.set("codec", codec::codecName(id));
@@ -223,7 +219,6 @@ run(int argc, char **argv)
                 point.set("mb_per_sec", mb_per_sec);
                 point.set("frame_bytes", u64{frame.size()});
                 point.set("blocks", u64{decode_report.blocks});
-                point.set("steals", u64{steals});
                 sweep.push(std::move(point));
 
                 if (workers == 1 && block_bytes == block_sizes[0] &&

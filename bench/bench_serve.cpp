@@ -53,7 +53,6 @@ struct Row
     double mbPerSec = 0.0;
     double p50Us = 0.0;
     double p99Us = 0.0;
-    u64 steals = 0;
 };
 
 int
@@ -179,8 +178,8 @@ run(int argc, char **argv)
                     stream.value().totalPayloadBytes()) /
                     static_cast<double>(kMiB),
                 std::thread::hardware_concurrency());
-    std::printf("%8s %10s %12s %10s %10s %8s\n", "workers", "sec",
-                "MB/s", "p50(us)", "p99(us)", "steals");
+    std::printf("%8s %10s %12s %10s %10s\n", "workers", "sec", "MB/s",
+                "p50(us)", "p99(us)");
 
     std::vector<Row> rows;
     obs::JsonValue sweep = obs::JsonValue::array();
@@ -235,13 +234,10 @@ run(int argc, char **argv)
         const auto &latency = run_report.latency();
         row.p50Us = latency.percentile(0.50) / 1e3;
         row.p99Us = latency.percentile(0.99) / 1e3;
-        row.steals = run_report.runtime.at("serve.steals");
         rows.push_back(row);
 
-        std::printf("%8u %10.3f %12.1f %10.1f %10.1f %8llu\n",
-                    row.workers, row.seconds, row.mbPerSec, row.p50Us,
-                    row.p99Us,
-                    static_cast<unsigned long long>(row.steals));
+        std::printf("%8u %10.3f %12.1f %10.1f %10.1f\n", row.workers,
+                    row.seconds, row.mbPerSec, row.p50Us, row.p99Us);
 
         obs::JsonValue point = obs::JsonValue::object();
         point.set("workers", u64{workers});
@@ -251,7 +247,6 @@ run(int argc, char **argv)
         point.set("p50_us", row.p50Us);
         point.set("p99_us", row.p99Us);
         point.set("p999_us", run_report.latency().percentile(0.999) / 1e3);
-        point.set("steals", u64{row.steals});
         if (tele) {
             point.set("spans_sampled", u64{run_report.spansSampled});
             point.set("metrics_samples", u64{run_report.metricsSamples});

@@ -15,7 +15,8 @@
  *   --tcp-port N        also listen on 127.0.0.1:N (0 = ephemeral;
  *                       the chosen port is printed at startup)
  *   --workers N         executor threads (default 2)
- *   --shard-capacity N  queue slots per worker shard (default 64)
+ *   --queue-capacity N  requests the shared queue holds before
+ *                       admission engages (default 128)
  *   --admission POLICY  block | drop | deadline (default block)
  *   --quota CSV         per-tenant budgets, "tenant:calls:bytes"
  *                       entries (0 = unlimited), e.g. 7:100:0,9:0:1048576
@@ -105,7 +106,7 @@ main(int argc, char **argv)
 {
     CliArgs args;
     if (!args.parse(argc, argv,
-                    {"socket", "tcp-port", "workers", "shard-capacity",
+                    {"socket", "tcp-port", "workers", "queue-capacity",
                      "admission", "quota", "worker-delay-ns",
                      "telemetry", "json"})) {
         return 1;
@@ -120,8 +121,8 @@ main(int argc, char **argv)
     }
     config.workers =
         static_cast<unsigned>(args.getInt("workers", 2));
-    config.shardCapacity =
-        static_cast<std::size_t>(args.getInt("shard-capacity", 64));
+    config.queueCapacity =
+        static_cast<std::size_t>(args.getInt("queue-capacity", 128));
     config.workerDelayNs =
         static_cast<u64>(args.getInt("worker-delay-ns", 0));
     auto admission = serve::admissionPolicyFromName(

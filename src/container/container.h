@@ -122,14 +122,15 @@ Result<FrameIndex> parseIndex(ByteSpan frame);
  * Decode accounting, split exactly like serve::ReplayReport:
  * everything in @ref work is a pure function of the frame — equal for
  * the sequential reference and any worker count — while @ref runtime
- * (steals) depends on scheduling and is not comparable across runs.
+ * (batches per worker) depends on scheduling and is not comparable
+ * across runs.
  */
 struct DecodeReport
 {
     /** container.blocks[.ok|.failed|.<codec>], container.bytes.{in,out},
      *  container.block_regen_bytes histogram, merged kernel.* totals. */
     obs::CounterSnapshot work;
-    /** container.steals, container.batches (parallel only). */
+    /** container.batches (parallel only). */
     obs::CounterSnapshot runtime;
     u64 blocks = 0;
     u64 bytesOut = 0;
@@ -161,9 +162,9 @@ Status decodeSequential(ByteSpan frame, Bytes &out,
 
 /**
  * Parallel scheduler: fans the index's blocks out over @p workers
- * threads (a serve::Executor: work stealing, one reused codec scratch
- * per worker) and stitches the outputs into
- * @p out at the index's regen offsets. Workers write disjoint output
+ * threads (a serve::Executor: blocks queued in index order, each taken
+ * by the next free worker, one reused codec scratch per worker) and
+ * stitches the outputs into @p out at the index's regen offsets. Workers write disjoint output
  * ranges, so stitching needs no lock. @p workers is clamped to >= 1;
  * the result is byte-identical to decodeSequential() at any count.
  */

@@ -5,7 +5,7 @@
  * Both paths share one per-block routine and one accounting scheme, so
  * the differential contract (tests/container_test.cpp) is structural:
  * the parallel path can only differ from the reference by scheduling,
- * and scheduling-dependent accounting (steals) is quarantined in
+ * and scheduling-dependent accounting (batches) is quarantined in
  * DecodeReport::runtime exactly like serve::ReplayReport.
  *
  * Error semantics: every block is attempted regardless of earlier
@@ -201,13 +201,12 @@ decodeParallel(ByteSpan frame, unsigned workers, Bytes &out,
 
     std::vector<Status> statuses(plan.index.blocks.size());
     serve::Executor<std::size_t> executor(
-        workers, /*shard_capacity=*/64, nullptr, "container",
+        workers, /*queue_capacity=*/64 * workers, nullptr, "container",
         [&](serve::Worker &worker, std::size_t &block) {
             decodeOn(worker, plan, block, out, statuses);
         });
     for (std::size_t i = 0; i < statuses.size(); ++i)
-        executor.push(static_cast<unsigned>(i % workers), i,
-                      serve::kNoDeadline);
+        executor.push(i, serve::kNoDeadline);
     executor.finish();
 
     Status verdict = firstFailure(statuses);

@@ -111,7 +111,6 @@ MatchFinder::bestMatchAt(ByteSpan input, std::size_t pos,
 Parse
 MatchFinder::parse(ByteSpan input, MatchFinderStats *stats_out)
 {
-    table_.reset();
     MatchFinderStats stats;
     Parse parse;
     parse.inputSize = input.size();
@@ -133,6 +132,11 @@ MatchFinder::parse(ByteSpan input, MatchFinderStats *stats_out)
         return parse;
     }
     const std::size_t hash_limit = input.size() - hash_bytes;
+    // The table starts empty; only a previous parse that inserted
+    // leaves candidates from other bytes to forget.
+    if (tableDirty_)
+        table_.reset();
+    tableDirty_ = true;
     // New buffer: the hash cache from the previous parse is for other
     // bytes. An empty cache at base 0 reads as "sequential at 0", so
     // the very first lookup already batch-hashes.

@@ -94,6 +94,7 @@ class MatchFinder
 
     MatchFinderConfig config_;
     MatchHashTable table_;
+    bool tableDirty_ = false; ///< table_ holds a previous parse's entries.
     std::vector<u32> scratchCandidates_;
     std::size_t hashBase_ = 0;  ///< First position in hashBuf_.
     std::size_t hashCount_ = 0; ///< Valid entries in hashBuf_.

@@ -80,7 +80,6 @@ admissionPolicyFromName(const std::string &name)
  *  frames from concurrent workers. */
 struct Daemon::Connection
 {
-    u64 id = 0;
     Fd fd;
     std::mutex writeMutex;
     std::atomic<bool> dead{false};
@@ -122,8 +121,8 @@ Daemon::Daemon(const DaemonConfig &config) : config_(config)
 {
     if (config_.workers == 0)
         config_.workers = 1;
-    if (config_.shardCapacity == 0)
-        config_.shardCapacity = 1;
+    if (config_.queueCapacity == 0)
+        config_.queueCapacity = 1;
 }
 
 Daemon::~Daemon()
@@ -168,7 +167,7 @@ Daemon::start()
 
     workerCells_ = std::vector<WorkerCells>(config_.workers);
     executor_ = std::make_unique<Executor<Job>>(
-        config_.workers, config_.shardCapacity, config_.telemetry, "serve",
+        config_.workers, config_.queueCapacity, config_.telemetry, "serve",
         [this](Worker &worker, Job &job) { execute(worker, job); });
     acceptThread_ = std::thread([this] { acceptLoop(); });
 
@@ -242,7 +241,6 @@ Daemon::acceptLoop()
                     .increment();
             });
             std::lock_guard<std::mutex> lock(connMutex_);
-            conn->id = nextConnId_++;
             connections_.push_back(conn);
             conn->reader = std::thread(
                 [this, conn] { connectionLoop(conn); });
@@ -390,7 +388,7 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
     }
 
     // One push decides admission: it waits for room until a time point
-    // the policy picks. block: no deadline (lossless; a full shard
+    // the policy picks. block: no deadline (lossless; a full queue
     // backpressures this reader and so the client socket). drop: now
     // (shed at once). deadline: as long as the request itself is
     // willing to wait. A failed push leaves the job, and so its
@@ -401,7 +399,7 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
     else if (config_.admission == AdmissionPolicy::deadline &&
              job.hasDeadline)
         until = job.deadline;
-    if (executor_->push(static_cast<unsigned>(conn->id), job, until))
+    if (executor_->push(job, until))
         return;
 
     if (executor_->closed()) {

@@ -20,14 +20,16 @@
  * drop/reject attributed to its tenant so load shedding is visible per
  * customer, not just in aggregate.
  *
- * Admission control (DESIGN.md §16) is one ShardedWorkQueue::push
- * whose wait-until time point the policy picks; no reader polls:
+ * Admission control (DESIGN.md §16) is one WorkQueue::push whose
+ * wait-until time point the policy picks; no reader polls. The queue
+ * is one FIFO of queueCapacity requests shared by every connection, so
+ * workers take requests in arrival order across connections:
  *  - block: no deadline — a full queue backpressures the reader (and
  *    so the client's socket) until a worker makes room. Lossless.
  *  - drop: now — a full queue rejects at once with `overloaded`; the
  *    request buffer is freed on the spot.
  *  - deadline: the request's deadline (none if it carries none) — the
- *    reader sleeps on the shard until room or expiry, then rejects
+ *    reader sleeps on the queue until room or expiry, then rejects
  *    with `deadline_exceeded`; workers re-check expiry before
  *    executing so a stale call never burns codec cycles.
  *
@@ -82,10 +84,10 @@ struct DaemonConfig
     bool tcpEnabled = false;
     u16 tcpPort = 0;
 
-    /** Workers, each with its own queue shard. */
+    /** Workers sharing the executor's queue. */
     unsigned workers = 2;
-    /** Requests a shard holds before admission control engages. */
-    std::size_t shardCapacity = 64;
+    /** Requests the queue holds before admission control engages. */
+    std::size_t queueCapacity = 128;
     AdmissionPolicy admission = AdmissionPolicy::block;
     WireLimits limits;
 
@@ -112,7 +114,7 @@ struct DaemonReport
      *  SLO tracker read replay and daemon output alike. */
     obs::CounterSnapshot work;
     /** Scheduling- and admission-dependent: serve.latency_ns (+
-     *  dimensioned cells), serve.steals, serve.batches, serve.daemon.*
+     *  dimensioned cells), serve.batches, serve.daemon.*
      *  admission events. */
     obs::CounterSnapshot runtime;
 
@@ -204,7 +206,6 @@ class Daemon
 
     mutable std::mutex connMutex_;
     std::vector<std::shared_ptr<Connection>> connections_;
-    u64 nextConnId_ = 0;
 
     std::mutex quotaMutex_;
     struct TenantUsage

@@ -60,8 +60,8 @@ ReplayEngine::ReplayEngine(const EngineConfig &config) : config_(config)
         config_.workers = 1;
     if (config_.batchSize == 0)
         config_.batchSize = 1;
-    if (config_.shardCapacity == 0)
-        config_.shardCapacity = 1;
+    if (config_.queueCapacity == 0)
+        config_.queueCapacity = 1;
 }
 
 ReplayReport
@@ -72,7 +72,7 @@ ReplayEngine::run(const hcb::CallStream &stream)
     const auto started = Clock::now();
 
     Executor<hcb::CallBatch> executor(
-        config_.workers, config_.shardCapacity, config_.telemetry,
+        config_.workers, config_.queueCapacity, config_.telemetry,
         "serve",
         [&](Worker &worker, hcb::CallBatch &batch) {
             for (std::size_t i = 0; i < batch.count; ++i) {
@@ -82,13 +82,11 @@ ReplayEngine::run(const hcb::CallStream &stream)
             }
         });
 
-    // Producer: feed batches round-robin across the workers' shards so
-    // every worker has a home stream of work; stealing levels the
-    // imbalance. A full shard blocks the producer: replay is lossless.
-    auto batches = stream.batches(config_.batchSize);
-    for (std::size_t b = 0; b < batches.size(); ++b)
-        executor.push(static_cast<unsigned>(b % config_.workers),
-                      batches[b], kNoDeadline);
+    // Producer: feed batches in stream order; whichever worker is free
+    // takes the next one. A full queue blocks the producer: replay is
+    // lossless.
+    for (hcb::CallBatch &batch : stream.batches(config_.batchSize))
+        executor.push(batch, kNoDeadline);
     executor.finish();
 
     finishReport(report, executor, started);

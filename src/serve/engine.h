@@ -5,20 +5,19 @@
  * Replays a CallStream — the unit of serving work in the paper's fleet
  * analysis (Section 3: independent (de)compression calls, not files) —
  * through a serve::Executor: the engine is the producer (call batches
- * round-robin over the queue shards) and fills one CallOutcome per
- * call from the executor's per-call step.
+ * in stream order into the executor's queue) and fills one CallOutcome
+ * per call from the executor's per-call step.
  *
- * Determinism contract: replay is lossless — a full queue shard makes
- * the producer wait, it never drops — so the *work* a replay performs
+ * Determinism contract: replay is lossless — a full queue makes the
+ * producer wait, it never drops — so the *work* a replay performs
  * is a pure function of the stream. Every call executes exactly once,
  * so ReplayReport::work (call/byte counters, size histograms, kernel.*
  * fast-path totals) and the per-call outcomes (sizes, hashes) are
  * identical for any worker count, including the no-thread
- * replaySequential() reference. What
- * the scheduler decided — latencies, steals — lands in
- * ReplayReport::runtime and is NOT comparable across runs. The
- * differential tests pin the first contract; the bench reports the
- * second.
+ * replaySequential() reference. What the scheduler decided —
+ * latencies, batches per worker — lands in ReplayReport::runtime and
+ * is NOT comparable across runs. The differential tests pin the first
+ * contract; the bench reports the second.
  */
 
 #ifndef CDPU_SERVE_ENGINE_H_
@@ -34,10 +33,10 @@ namespace cdpu::serve
 
 struct EngineConfig
 {
-    /** Workers, each with its own queue shard. */
+    /** Workers sharing the executor's queue. */
     unsigned workers = 1;
-    /** Batches a shard holds before the producer waits for room. */
-    std::size_t shardCapacity = 8;
+    /** Batches the queue holds before the producer waits for room. */
+    std::size_t queueCapacity = 16;
     /** Calls per queue item; amortizes queue traffic per the fleet's
      *  small-call distribution (Figure 6: most calls are tiny). */
     std::size_t batchSize = 8;
@@ -78,7 +77,7 @@ struct ReplayReport
     obs::CounterSnapshot work;
 
     /** Scheduling-dependent accounting: serve.latency_ns (+
-     *  dimensioned cells), serve.steals, serve.batches. */
+     *  dimensioned cells), serve.batches. */
     obs::CounterSnapshot runtime;
 
     /** Merged per-thread fast-path stats (also exported into work). */

@@ -5,11 +5,11 @@
  * Replay (ReplayEngine), cdpud (Daemon) and container decode all run
  * the paper's fleet shape of work (Section 3): many small, independent
  * codec calls fanned over cores. Executor owns that machinery once —
- * worker threads, a ShardedWorkQueue with stealing, one CodecContext
- * per worker, the work/runtime counter split, the kernel.* fold, the
- * steal/batch counts and all per-call telemetry — and a front end is a
- * producer (push, which waits for room until a time point the producer
- * picks) plus an item handler run on a worker. The no-thread oracles
+ * worker threads, one bounded FIFO WorkQueue, one CodecContext per
+ * worker, the work/runtime counter split, the kernel.* fold, the batch
+ * count and all per-call telemetry — and a front end is a producer
+ * (push, which waits for room until a time point the producer picks)
+ * plus an item handler run on a worker. The no-thread oracles
  * run one Worker on the calling thread through ExecutorCore::runAs(),
  * so oracle and pool share one per-call step.
  */
@@ -173,21 +173,19 @@ class ExecutorCore
  * The worker pool: threads start in the constructor, each drains the
  * queue as one Worker and hands every item to @p handler; finish() (or
  * the destructor) closes the queue and joins them after the last
- * accepted item ran. Steals and batches land in the runtime registry
- * as `<scope>.steals` / `<scope>.batches`.
+ * accepted item ran. The items each worker ran land in the runtime
+ * registry as `<scope>.batches`.
  */
 template <typename Item> class Executor : public ExecutorCore
 {
   public:
     using Handler = std::function<void(Worker &, Item &)>;
 
-    /** One queue shard of @p shard_capacity items per worker. */
-    Executor(unsigned workers, std::size_t shard_capacity,
+    /** One queue of @p queue_capacity items shared by every worker. */
+    Executor(unsigned workers, std::size_t queue_capacity,
              obs::Telemetry *telemetry, const std::string &scope,
              Handler handler)
-        : ExecutorCore(workers, telemetry),
-          queue_(workerCount(), shard_capacity),
-          stealsName_(scope + ".steals"),
+        : ExecutorCore(workers, telemetry), queue_(queue_capacity),
           batchesName_(scope + ".batches"), handler_(std::move(handler))
     {
         try {
@@ -203,10 +201,10 @@ template <typename Item> class Executor : public ExecutorCore
 
     ~Executor() { finish(); }
 
-    /** ShardedWorkQueue::push on shard @p home. */
-    bool push(unsigned home, Item &item, QueueClock::time_point until)
+    /** WorkQueue::push. */
+    bool push(Item &item, QueueClock::time_point until)
     {
-        return queue_.push(home, item, until);
+        return queue_.push(item, until);
     }
 
     /** True once finish() closed the queue: every push fails. */
@@ -227,23 +225,18 @@ template <typename Item> class Executor : public ExecutorCore
     loop(Worker &worker)
     {
         Item item{};
-        bool stolen = false;
-        u64 steals = 0;
         u64 batches = 0;
-        while (queue_.pop(worker.index(), item, &stolen)) {
+        while (queue_.pop(item)) {
             ++batches;
-            steals += stolen ? 1 : 0;
             handler_(worker, item);
             item = Item{}; // Release what the item owns promptly.
         }
         worker.withRuntime([&](obs::CounterRegistry &registry) {
-            registry.counter(stealsName_).add(steals);
             registry.counter(batchesName_).add(batches);
         });
     }
 
-    ShardedWorkQueue<Item> queue_;
-    const std::string stealsName_;
+    WorkQueue<Item> queue_;
     const std::string batchesName_;
     Handler handler_;
     std::vector<std::thread> threads_; ///< Last: uses everything above.

@@ -24,6 +24,25 @@ errnoStatus(const std::string &what)
     return Status::io(what + ": " + std::strerror(errno));
 }
 
+/** Drops the first @p done bytes of @p message's iovecs (and the
+ *  parts they empty), so the next call resumes where this one ended. */
+void
+consume(msghdr &message, std::size_t done)
+{
+    while (message.msg_iovlen > 0 &&
+           (done > 0 || message.msg_iov->iov_len == 0)) {
+        iovec &part = *message.msg_iov;
+        const std::size_t step = std::min(done, part.iov_len);
+        part.iov_base = static_cast<u8 *>(part.iov_base) + step;
+        part.iov_len -= step;
+        done -= step;
+        if (part.iov_len == 0) {
+            ++message.msg_iov;
+            --message.msg_iovlen;
+        }
+    }
+}
+
 /** Sends every byte of @p parts in order with gathering
  *  sendmsg(MSG_NOSIGNAL) calls, resuming after short writes and EINTR;
  *  consumes @p parts as it goes. */
@@ -33,31 +52,49 @@ sendAll(int fd, iovec *parts, std::size_t count)
     msghdr message{};
     message.msg_iov = parts;
     message.msg_iovlen = count;
-    for (;;) {
-        while (message.msg_iovlen > 0 && message.msg_iov->iov_len == 0) {
-            ++message.msg_iov;
-            --message.msg_iovlen;
-        }
-        if (message.msg_iovlen == 0)
-            return Status::okStatus();
+    for (consume(message, 0); message.msg_iovlen > 0;) {
         ssize_t put = ::sendmsg(fd, &message, MSG_NOSIGNAL);
         if (put < 0) {
             if (errno == EINTR)
                 continue;
             return errnoStatus("sendmsg");
         }
-        for (auto left = static_cast<std::size_t>(put); left > 0;) {
-            iovec &part = *message.msg_iov;
-            const std::size_t step = std::min(left, part.iov_len);
-            part.iov_base = static_cast<u8 *>(part.iov_base) + step;
-            part.iov_len -= step;
-            left -= step;
-            if (part.iov_len == 0) {
-                ++message.msg_iov;
-                --message.msg_iovlen;
-            }
-        }
+        consume(message, static_cast<std::size_t>(put));
     }
+    return Status::okStatus();
+}
+
+/**
+ * Fills @p parts in order with scattering recvmsg calls, resuming
+ * after short reads and EINTR; consumes @p parts as it goes. Returns
+ * the bytes read: all of them, or fewer when the peer closed first.
+ */
+Result<std::size_t>
+recvAll(int fd, iovec *parts, std::size_t count)
+{
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = count;
+    std::size_t done = 0;
+    for (consume(message, 0); message.msg_iovlen > 0;) {
+        ssize_t got = ::recvmsg(fd, &message, 0);
+        if (got > 0) {
+            done += static_cast<std::size_t>(got);
+            consume(message, static_cast<std::size_t>(got));
+            continue;
+        }
+        if (got == 0)
+            return done; // Peer closed; caller judges the boundary.
+        if (errno == EINTR)
+            continue;
+        // A socket shut down for reading mid-drain surfaces as
+        // ECONNRESET on some stacks; treat it like EOF so drain
+        // semantics match a vanished peer.
+        if (errno == ECONNRESET)
+            return done;
+        return errnoStatus("recvmsg");
+    }
+    return done;
 }
 
 } // namespace
@@ -78,25 +115,8 @@ Fd::reset()
 Result<std::size_t>
 readFull(int fd, u8 *out, std::size_t size)
 {
-    std::size_t done = 0;
-    while (done < size) {
-        ssize_t got = ::recv(fd, out + done, size - done, 0);
-        if (got > 0) {
-            done += static_cast<std::size_t>(got);
-            continue;
-        }
-        if (got == 0)
-            return done; // Peer closed; caller judges the boundary.
-        if (errno == EINTR)
-            continue;
-        // A socket shut down for reading mid-drain surfaces as
-        // ECONNRESET on some stacks; treat it like EOF so drain
-        // semantics match a vanished peer.
-        if (errno == ECONNRESET)
-            return done;
-        return errnoStatus("recv");
-    }
-    return done;
+    iovec part{out, size};
+    return recvAll(fd, &part, 1);
 }
 
 Status
@@ -109,50 +129,39 @@ writeFull(int fd, const u8 *data, std::size_t size)
 namespace
 {
 
-/** Shared header+body frame read; Parse/Assemble come from wire.h. */
-template <typename Header, typename Message>
+/** Reads a frame's @p size fixed header bytes into @p out. A clean
+ *  close before the first byte sets @p outcome.wasEof; a partial
+ *  header is a truncation, never a parseable header. */
 Status
-readFrame(int fd, std::size_t header_bytes,
-          Result<Header> (*parse_header)(ByteSpan,
-                                         const WireLimits &),
-          Result<Message> (*assemble)(const Header &, ByteSpan),
-          const WireLimits &limits, Message &message,
-          FrameReadOutcome &outcome)
+readHeader(int fd, u8 *out, std::size_t size, FrameReadOutcome &outcome)
 {
     outcome.wasEof = false;
-    u8 header_buf[kRequestHeaderBytes > kResponseHeaderBytes
-                      ? kRequestHeaderBytes
-                      : kResponseHeaderBytes];
-    auto got = readFull(fd, header_buf, header_bytes);
+    auto got = readFull(fd, out, size);
     CDPU_RETURN_IF_ERROR(got.status());
-    if (got.value() == 0) {
+    if (got.value() == 0)
         outcome.wasEof = true;
-        return Status::okStatus();
-    }
-    // A partial header is a truncation, never a parseable header.
-    if (got.value() < header_bytes)
+    else if (got.value() < size)
         return Status::corrupt(
             "peer closed after " + std::to_string(got.value()) +
-            " of " + std::to_string(header_bytes) + " header bytes");
-    auto header =
-        parse_header(ByteSpan(header_buf, header_bytes), limits);
-    CDPU_RETURN_IF_ERROR(header.status());
+            " of " + std::to_string(size) + " header bytes");
+    return Status::okStatus();
+}
 
-    // The caps were enforced by the header parse, so this allocation
-    // is bounded by limits, not by attacker-declared lengths.
-    Bytes body(header.value().bodyBytes());
-    if (!body.empty()) {
-        auto body_got = readFull(fd, body.data(), body.size());
-        CDPU_RETURN_IF_ERROR(body_got.status());
-        if (body_got.value() < body.size())
-            return Status::corrupt(
-                "peer closed after " +
-                std::to_string(body_got.value()) + " of " +
-                std::to_string(body.size()) + " body bytes");
-    }
-    auto assembled = assemble(header.value(), body);
-    CDPU_RETURN_IF_ERROR(assembled.status());
-    message = std::move(assembled.value());
+/** Reads a frame body straight into its two fields, already sized to
+ *  the header's claims (which the header parse held to the limits):
+ *  @p text (spec or message), then @p payload, in one scatter read. */
+Status
+readBody(int fd, std::string &text, Bytes &payload)
+{
+    iovec parts[] = {{text.data(), text.size()},
+                     {payload.data(), payload.size()}};
+    const std::size_t size = text.size() + payload.size();
+    auto got = recvAll(fd, parts, std::size(parts));
+    CDPU_RETURN_IF_ERROR(got.status());
+    if (got.value() < size)
+        return Status::corrupt(
+            "peer closed after " + std::to_string(got.value()) +
+            " of " + std::to_string(size) + " body bytes");
     return Status::okStatus();
 }
 
@@ -162,25 +171,44 @@ Status
 readRequestFrame(int fd, const WireLimits &limits, WireRequest &request,
                  FrameReadOutcome &outcome)
 {
-    return readFrame<RequestHeader, WireRequest>(
-        fd, kRequestHeaderBytes, parseRequestHeader, assembleRequest,
-        limits, request, outcome);
+    u8 head[kRequestHeaderBytes];
+    CDPU_RETURN_IF_ERROR(readHeader(fd, head, sizeof head, outcome));
+    if (outcome.wasEof)
+        return Status::okStatus();
+    auto header = parseRequestHeader(ByteSpan(head, sizeof head), limits);
+    CDPU_RETURN_IF_ERROR(header.status());
+    request = requestFromHeader(header.value());
+    CDPU_RETURN_IF_ERROR(readBody(fd, request.codecSpec, request.payload));
+    return checkCodecSpec(request.codecSpec);
 }
 
 Status
 readResponseFrame(int fd, const WireLimits &limits,
                   WireResponse &response, FrameReadOutcome &outcome)
 {
-    return readFrame<ResponseHeader, WireResponse>(
-        fd, kResponseHeaderBytes, parseResponseHeader, assembleResponse,
-        limits, response, outcome);
+    u8 head[kResponseHeaderBytes];
+    CDPU_RETURN_IF_ERROR(readHeader(fd, head, sizeof head, outcome));
+    if (outcome.wasEof)
+        return Status::okStatus();
+    auto header =
+        parseResponseHeader(ByteSpan(head, sizeof head), limits);
+    CDPU_RETURN_IF_ERROR(header.status());
+    response = responseFromHeader(header.value());
+    return readBody(fd, response.message, response.payload);
 }
 
 Status
 writeRequestFrame(int fd, const WireRequest &request)
 {
-    Bytes frame = encodeRequest(request);
-    return writeFull(fd, frame.data(), frame.size());
+    u8 head[kRequestHeaderBytes];
+    encodeRequestHeader(request, head);
+    iovec parts[] = {
+        {head, sizeof head},
+        {const_cast<char *>(request.codecSpec.data()),
+         request.codecSpec.size()},
+        {const_cast<u8 *>(request.payload.data()), request.payload.size()},
+    };
+    return sendAll(fd, parts, std::size(parts));
 }
 
 Status

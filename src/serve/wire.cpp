@@ -9,27 +9,6 @@ namespace cdpu::serve
 namespace
 {
 
-void
-putU16(Bytes &out, u16 value)
-{
-    out.push_back(static_cast<u8>(value & 0xff));
-    out.push_back(static_cast<u8>(value >> 8));
-}
-
-void
-putU32(Bytes &out, u32 value)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        out.push_back(static_cast<u8>(value >> shift));
-}
-
-void
-putU64(Bytes &out, u64 value)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<u8>(value >> shift));
-}
-
 u16
 getU16(ByteSpan data, std::size_t pos)
 {
@@ -106,24 +85,29 @@ wireCodeFor(const Status &status)
     return WireCode::internalError;
 }
 
+void
+encodeRequestHeader(const WireRequest &request, u8 *out)
+{
+    out = std::copy(std::begin(kRequestMagic), std::end(kRequestMagic),
+                    out);
+    *out++ = kWireVersion;
+    *out++ = request.direction == codec::Direction::compress ? 0 : 1;
+    out = storeLe(out, request.codecSpec.size(), 2);
+    out = storeLe(out, request.requestId, 8);
+    out = storeLe(out, request.tenantId, 8);
+    out = storeLe(out, static_cast<u32>(request.level), 4);
+    out = storeLe(out, request.windowLog, 4);
+    out = storeLe(out, request.deadlineNs, 8);
+    storeLe(out, request.payload.size(), 4);
+}
+
 Bytes
 encodeRequest(const WireRequest &request)
 {
-    Bytes out;
+    Bytes out(kRequestHeaderBytes);
     out.reserve(kRequestHeaderBytes + request.codecSpec.size() +
                 request.payload.size());
-    out.insert(out.end(), std::begin(kRequestMagic),
-               std::end(kRequestMagic));
-    out.push_back(kWireVersion);
-    out.push_back(request.direction == codec::Direction::compress ? 0
-                                                                  : 1);
-    putU16(out, static_cast<u16>(request.codecSpec.size()));
-    putU64(out, request.requestId);
-    putU64(out, request.tenantId);
-    putU32(out, static_cast<u32>(request.level));
-    putU32(out, request.windowLog);
-    putU64(out, request.deadlineNs);
-    putU32(out, static_cast<u32>(request.payload.size()));
+    encodeRequestHeader(request, out.data());
     out.insert(out.end(), request.codecSpec.begin(),
                request.codecSpec.end());
     out.insert(out.end(), request.payload.begin(),
@@ -205,35 +189,31 @@ parseRequestHeader(ByteSpan header, const WireLimits &limits)
     return parsed;
 }
 
-Result<WireRequest>
-assembleRequest(const RequestHeader &header, ByteSpan body)
+WireRequest
+requestFromHeader(const RequestHeader &header)
 {
-    if (body.size() != header.bodyBytes())
-        return Status::corrupt(
-            "wire request body is " + std::to_string(body.size()) +
-            " bytes, header declared " +
-            std::to_string(header.bodyBytes()));
-    for (std::size_t i = 0; i < header.specBytes; ++i) {
-        if (!specCharOk(body[i]))
-            return Status::corrupt(
-                "codec spec byte " + std::to_string(i) +
-                " outside [a-z0-9+_-]");
-    }
-
     WireRequest request;
     request.requestId = header.requestId;
     request.tenantId = header.tenantId;
-    request.codecSpec.assign(
-        reinterpret_cast<const char *>(body.data()), header.specBytes);
+    request.codecSpec.resize(header.specBytes);
     request.direction = header.direction;
     request.level = header.level;
     request.windowLog = header.windowLog;
     request.deadlineNs = header.deadlineNs;
-    request.payload.assign(body.begin() +
-                               static_cast<std::ptrdiff_t>(
-                                   header.specBytes),
-                           body.end());
+    request.payload.resize(header.payloadBytes);
     return request;
+}
+
+Status
+checkCodecSpec(std::string_view spec)
+{
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+        if (!specCharOk(static_cast<u8>(spec[i])))
+            return Status::corrupt(
+                "codec spec byte " + std::to_string(i) +
+                " outside [a-z0-9+_-]");
+    }
+    return Status::okStatus();
 }
 
 Result<WireRequest>
@@ -255,8 +235,13 @@ parseRequest(ByteSpan frame, const WireLimits &limits)
             " bytes, header declares " +
             std::to_string(kRequestHeaderBytes +
                            header.value().bodyBytes()));
-    return assembleRequest(header.value(),
-                           frame.subspan(kRequestHeaderBytes));
+    WireRequest request = requestFromHeader(header.value());
+    const u8 *body = frame.data() + kRequestHeaderBytes;
+    std::copy_n(body, request.codecSpec.size(), request.codecSpec.data());
+    CDPU_RETURN_IF_ERROR(checkCodecSpec(request.codecSpec));
+    std::copy_n(body + request.codecSpec.size(), request.payload.size(),
+                request.payload.data());
+    return request;
 }
 
 Result<ResponseHeader>
@@ -297,25 +282,15 @@ parseResponseHeader(ByteSpan header, const WireLimits &limits)
     return parsed;
 }
 
-Result<WireResponse>
-assembleResponse(const ResponseHeader &header, ByteSpan body)
+WireResponse
+responseFromHeader(const ResponseHeader &header)
 {
-    if (body.size() != header.bodyBytes())
-        return Status::corrupt(
-            "wire response body is " + std::to_string(body.size()) +
-            " bytes, header declared " +
-            std::to_string(header.bodyBytes()));
     WireResponse response;
     response.requestId = header.requestId;
     response.code = header.code;
     response.serviceNs = header.serviceNs;
-    response.message.assign(
-        reinterpret_cast<const char *>(body.data()),
-        header.messageBytes);
-    response.payload.assign(body.begin() +
-                                static_cast<std::ptrdiff_t>(
-                                    header.messageBytes),
-                            body.end());
+    response.message.resize(header.messageBytes);
+    response.payload.resize(header.payloadBytes);
     return response;
 }
 
@@ -336,8 +311,12 @@ parseResponse(ByteSpan frame, const WireLimits &limits)
             " bytes, header declares " +
             std::to_string(kResponseHeaderBytes +
                            header.value().bodyBytes()));
-    return assembleResponse(header.value(),
-                            frame.subspan(kResponseHeaderBytes));
+    WireResponse response = responseFromHeader(header.value());
+    const u8 *body = frame.data() + kResponseHeaderBytes;
+    std::copy_n(body, response.message.size(), response.message.data());
+    std::copy_n(body + response.message.size(), response.payload.size(),
+                response.payload.data());
+    return response;
 }
 
 } // namespace cdpu::serve

@@ -30,6 +30,7 @@
 #define CDPU_SERVE_WIRE_H_
 
 #include <string>
+#include <string_view>
 
 #include "codec/codec.h"
 #include "common/error.h"
@@ -150,6 +151,9 @@ struct ResponseHeader
 
 /** Serializes @p request as one frame (header + spec + payload). */
 Bytes encodeRequest(const WireRequest &request);
+/** Writes @p request's kRequestHeaderBytes fixed bytes to @p out: the
+ *  start of its frame, which the spec and payload follow. */
+void encodeRequestHeader(const WireRequest &request, u8 *out);
 /** Serializes @p response as one frame. */
 Bytes encodeResponse(const WireResponse &response);
 /** Writes @p header's kResponseHeaderBytes fixed bytes to @p out: the
@@ -167,11 +171,16 @@ void encodeResponseHeader(const ResponseHeader &header, u8 *out);
 Result<RequestHeader> parseRequestHeader(ByteSpan header,
                                          const WireLimits &limits);
 
-/** Validates the body that followed @p header and assembles the
- *  request. @p body must be exactly header.bodyBytes() long. Also
- *  re-checks the spec's character set ([a-z0-9+_-]). */
-Result<WireRequest> assembleRequest(const RequestHeader &header,
-                                    ByteSpan body);
+/**
+ * The request @p header announces: its fixed fields copied, codecSpec
+ * and payload sized to the header's claims for the caller to fill
+ * with the body (a transport reads it straight into them). Run
+ * checkCodecSpec once codecSpec holds the body's bytes.
+ */
+WireRequest requestFromHeader(const RequestHeader &header);
+
+/** Rejects a codec spec with a byte outside [a-z0-9+_-]. */
+Status checkCodecSpec(std::string_view spec);
 
 /** Whole-buffer parse: @p frame must hold exactly one request (the
  *  fuzz battery's entry point; transports use the header/body pair). */
@@ -180,8 +189,9 @@ Result<WireRequest> parseRequest(ByteSpan frame,
 
 Result<ResponseHeader> parseResponseHeader(ByteSpan header,
                                            const WireLimits &limits);
-Result<WireResponse> assembleResponse(const ResponseHeader &header,
-                                      ByteSpan body);
+/** The response @p header announces; message and payload sized for
+ *  the caller to fill, as requestFromHeader. */
+WireResponse responseFromHeader(const ResponseHeader &header);
 Result<WireResponse> parseResponse(ByteSpan frame,
                                    const WireLimits &limits);
 

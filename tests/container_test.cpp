@@ -200,10 +200,10 @@ TEST_P(ContainerCodecTest, WorkCountersTellTheDecodeStory)
     EXPECT_EQ(report.work.histogramAt("container.block_regen_bytes")
                   .count,
               4u);
-    // Steals are runtime accounting: present, but quarantined from the
+    // Batches are runtime accounting: present, but quarantined from the
     // deterministic work snapshot.
-    EXPECT_TRUE(report.runtime.has("container.steals"));
-    EXPECT_FALSE(report.work.has("container.steals"));
+    EXPECT_TRUE(report.runtime.has("container.batches"));
+    EXPECT_FALSE(report.work.has("container.batches"));
     EXPECT_EQ(report.blocks, 4u);
     EXPECT_EQ(report.bytesOut, payload.size());
 }

@@ -697,7 +697,7 @@ TEST(DaemonTest, DropPolicyAnswersAndAttributesEveryShedRequest)
     DaemonConfig config;
     config.unixPath = testSocketPath("drop");
     config.workers = 1;
-    config.shardCapacity = 1;
+    config.queueCapacity = 1;
     config.admission = AdmissionPolicy::drop;
     config.workerDelayNs = 3000000; // 3 ms per call: forces backlog.
     Daemon daemon(config);
@@ -750,7 +750,7 @@ TEST(DaemonTest, DeadlinePolicyRejectsWhatItCannotServeInTime)
     DaemonConfig config;
     config.unixPath = testSocketPath("deadline");
     config.workers = 1;
-    config.shardCapacity = 1;
+    config.queueCapacity = 1;
     config.admission = AdmissionPolicy::deadline;
     config.workerDelayNs = 3000000; // 3 ms per call.
     Daemon daemon(config);

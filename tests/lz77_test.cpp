@@ -115,6 +115,44 @@ TEST(MatchFinderTest, EmptyAndTinyInputs)
     }
 }
 
+TEST(MatchFinderTest, ReusedFinderParsesLikeAFreshOne)
+{
+    // A parse must not see the previous buffer's table entries: A then
+    // B through one finder gives, for B, exactly a fresh finder's
+    // parse. The tiny buffer between them inserts nothing, so the
+    // table still holds A's entries when B arrives.
+    Rng rng(17);
+    const Bytes a = corpus::generate(corpus::DataClass::textLike,
+                                     24 * kKiB, rng);
+    const Bytes b = corpus::generate(corpus::DataClass::logLike,
+                                     24 * kKiB, rng);
+    const Bytes tiny(3, 'x');
+    for (auto fn : {HashFunction::multiplicative,
+                    HashFunction::fibonacci64}) {
+        for (unsigned ways : {1u, 4u}) {
+            MatchFinderConfig config;
+            config.hashTable.hashFunction = fn;
+            config.hashTable.ways = ways;
+            config.lazyMatching = ways > 1;
+            MatchFinder reused(config);
+            reused.parse(a);
+            reused.parse(tiny);
+            MatchFinderStats reused_stats;
+            const Parse again = reused.parse(b, &reused_stats);
+
+            MatchFinder fresh(config);
+            MatchFinderStats fresh_stats;
+            const Parse expected = fresh.parse(b, &fresh_stats);
+            EXPECT_EQ(again.sequences, expected.sequences)
+                << "ways=" << ways;
+            EXPECT_EQ(again.literalTailStart, expected.literalTailStart);
+            EXPECT_EQ(again.inputSize, expected.inputSize);
+            EXPECT_EQ(reused_stats.candidateProbes,
+                      fresh_stats.candidateProbes);
+        }
+    }
+}
+
 TEST(MatchFinderTest, WindowBoundsOffsets)
 {
     // Repeat distance 1000 with a 512-byte window: match unusable.

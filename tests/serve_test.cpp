@@ -1,10 +1,10 @@
 /**
  * @file
- * Serve-layer battery: queue semantics (stealing, timed pushes,
- * shutdown drain) and the engine's determinism contract — any worker
- * count must replay a stream to byte-identical per-call outputs and
- * an identical deterministic ("work") counter snapshot versus the
- * no-thread sequential reference.
+ * Serve-layer battery: queue semantics (FIFO order, shared capacity,
+ * timed pushes, shutdown drain) and the engine's determinism contract
+ * — any worker count must replay a stream to byte-identical per-call
+ * outputs and an identical deterministic ("work") counter snapshot
+ * versus the no-thread sequential reference.
  */
 
 #include <gtest/gtest.h>
@@ -27,97 +27,127 @@ namespace cdpu::serve
 namespace
 {
 
-// --- ShardedWorkQueue -------------------------------------------------
+// --- WorkQueue --------------------------------------------------------
 
 /** push() of a temporary: the queue takes its item as an lvalue. */
 template <typename T>
 bool
-pushValue(ShardedWorkQueue<T> &queue, unsigned home, T item,
+pushValue(WorkQueue<T> &queue, T item,
           QueueClock::time_point until = kNoDeadline)
 {
-    return queue.push(home, item, until);
+    return queue.push(item, until);
 }
 
-TEST(ShardedWorkQueueTest, FifoWithinShard)
+TEST(WorkQueueTest, PopsInArrivalOrder)
 {
-    ShardedWorkQueue<int> queue(1, 8);
-    EXPECT_TRUE(pushValue(queue, 0, 1));
-    EXPECT_TRUE(pushValue(queue, 0, 2));
-    EXPECT_TRUE(pushValue(queue, 0, 3));
+    WorkQueue<int> queue(8);
+    EXPECT_TRUE(pushValue(queue, 1));
+    EXPECT_TRUE(pushValue(queue, 2));
+    EXPECT_TRUE(pushValue(queue, 3));
     int item = 0;
-    EXPECT_TRUE(queue.tryPop(0, item));
+    EXPECT_TRUE(queue.pop(item));
     EXPECT_EQ(item, 1);
-    EXPECT_TRUE(queue.tryPop(0, item));
+    EXPECT_TRUE(queue.pop(item));
     EXPECT_EQ(item, 2);
-    EXPECT_TRUE(queue.tryPop(0, item));
+    EXPECT_TRUE(queue.pop(item));
     EXPECT_EQ(item, 3);
-    EXPECT_FALSE(queue.tryPop(0, item));
+    EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(ShardedWorkQueueTest, ExpiredDeadlineRejectsWhenFull)
+TEST(WorkQueueTest, ExpiredDeadlineRejectsWhenFull)
 {
     // A time point already passed is load shedding: no wait at all.
-    ShardedWorkQueue<int> queue(2, 2);
+    // One producer fills the whole capacity; the next push is shed.
+    WorkQueue<int> queue(4);
     const QueueClock::time_point now = QueueClock::now();
-    EXPECT_TRUE(pushValue(queue, 0, 1, now));
-    EXPECT_TRUE(pushValue(queue, 0, 2, now));
-    EXPECT_FALSE(pushValue(queue, 0, 3, now)); // shard 0 full -> shed
-    EXPECT_TRUE(pushValue(queue, 1, 4, now));  // shard 1 untouched
-    EXPECT_EQ(queue.pendingApprox(), 3);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(pushValue(queue, i, now));
+    EXPECT_FALSE(pushValue(queue, 4, now)); // full -> shed
+    EXPECT_EQ(queue.size(), 4u);
 }
 
-TEST(ShardedWorkQueueTest, FailedPushLeavesTheItemIntact)
+TEST(WorkQueueTest, CapacityIsSharedAcrossProducers)
+{
+    // No producer owns a slice of the capacity: two racing producers
+    // shedding at once get exactly `capacity` accepts between them.
+    constexpr std::size_t kCapacity = 8;
+    WorkQueue<int> queue(kCapacity);
+    std::atomic<std::size_t> accepted{0};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < 2; ++p)
+        producers.emplace_back([&, p] {
+            for (std::size_t i = 0; i < kCapacity; ++i)
+                if (pushValue(queue, p, QueueClock::now()))
+                    ++accepted;
+        });
+    for (std::thread &producer : producers)
+        producer.join();
+    EXPECT_EQ(accepted.load(), kCapacity);
+    EXPECT_EQ(queue.size(), kCapacity);
+
+    // One pop makes room for one waiting timed push.
+    std::atomic<bool> admitted{false};
+    std::thread waiter([&] {
+        admitted = pushValue(
+            queue, 2, QueueClock::now() + std::chrono::seconds(30));
+    });
+    int item = -1;
+    EXPECT_TRUE(queue.pop(item));
+    waiter.join();
+    EXPECT_TRUE(admitted.load());
+    EXPECT_EQ(queue.size(), kCapacity);
+}
+
+TEST(WorkQueueTest, FailedPushLeavesTheItemIntact)
 {
     // The daemon answers a rejected request from the job it still
     // holds; a failed push must not consume it.
-    ShardedWorkQueue<std::string> queue(1, 1);
+    WorkQueue<std::string> queue(1);
     const QueueClock::time_point now = QueueClock::now();
     std::string keep = "payload-survives-rejection";
-    EXPECT_TRUE(queue.push(0, keep, now)); // Moved in: shard now full.
+    EXPECT_TRUE(queue.push(keep, now)); // Moved in: queue now full.
     keep = "payload-survives-rejection";
-    EXPECT_FALSE(queue.push(0, keep, now));
+    EXPECT_FALSE(queue.push(keep, now));
     EXPECT_EQ(keep, "payload-survives-rejection");
 
     std::string out;
-    EXPECT_TRUE(queue.tryPop(0, out));
-    EXPECT_TRUE(queue.push(0, keep, now)); // Room again: move succeeds.
+    EXPECT_TRUE(queue.pop(out));
+    EXPECT_TRUE(queue.push(keep, now)); // Room again: move succeeds.
     queue.close();
-    EXPECT_FALSE(queue.push(0, out, now)); // Closed always rejects.
+    EXPECT_FALSE(queue.push(out, now)); // Closed always rejects.
 }
 
-TEST(ShardedWorkQueueTest, ClosedQueueRejectsEvenWithRoom)
+TEST(WorkQueueTest, ClosedQueueRejectsEvenWithRoom)
 {
-    // Only a full shard used to look at the closed flag, so a push
-    // into a closed queue with room got in.
-    ShardedWorkQueue<std::string> queue(1, 8);
+    WorkQueue<std::string> queue(8);
     queue.close();
     std::string keep = "never-enqueued";
-    EXPECT_FALSE(queue.push(0, keep, kNoDeadline));
+    EXPECT_FALSE(queue.push(keep, kNoDeadline));
     EXPECT_EQ(keep, "never-enqueued");
-    EXPECT_FALSE(queue.push(0, keep, QueueClock::now()));
+    EXPECT_FALSE(queue.push(keep, QueueClock::now()));
     EXPECT_EQ(keep, "never-enqueued");
-    EXPECT_EQ(queue.pendingApprox(), 0);
+    EXPECT_EQ(queue.size(), 0u);
     std::string out;
-    EXPECT_FALSE(queue.pop(0, out));
+    EXPECT_FALSE(queue.pop(out));
 }
 
-TEST(ShardedWorkQueueTest, TimedPushGivesUpAtItsDeadline)
+TEST(WorkQueueTest, TimedPushGivesUpAtItsDeadline)
 {
-    ShardedWorkQueue<std::string> queue(1, 1);
-    ASSERT_TRUE(pushValue<std::string>(queue, 0, "occupant"));
+    WorkQueue<std::string> queue(1);
+    ASSERT_TRUE(pushValue<std::string>(queue, "occupant"));
     const auto wait = std::chrono::milliseconds(20);
     const QueueClock::time_point started = QueueClock::now();
     std::string keep = "late";
-    EXPECT_FALSE(queue.push(0, keep, started + wait));
+    EXPECT_FALSE(queue.push(keep, started + wait));
     EXPECT_GE(QueueClock::now() - started, wait);
     EXPECT_EQ(keep, "late");
-    EXPECT_EQ(queue.pendingApprox(), 1);
+    EXPECT_EQ(queue.size(), 1u);
 }
 
-TEST(ShardedWorkQueueTest, PopBeforeTheDeadlineAdmitsTheTimedPush)
+TEST(WorkQueueTest, PopBeforeTheDeadlineAdmitsTheTimedPush)
 {
-    ShardedWorkQueue<int> queue(1, 1);
-    ASSERT_TRUE(pushValue(queue, 0, 1));
+    WorkQueue<int> queue(1);
+    ASSERT_TRUE(pushValue(queue, 1));
     std::atomic<bool> waiting{false};
     std::thread consumer([&] {
         while (!waiting.load())
@@ -125,28 +155,28 @@ TEST(ShardedWorkQueueTest, PopBeforeTheDeadlineAdmitsTheTimedPush)
         // Most likely parked by now; either way the push must get in.
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
         int item = 0;
-        EXPECT_TRUE(queue.pop(0, item));
+        EXPECT_TRUE(queue.pop(item));
         EXPECT_EQ(item, 1);
     });
     int second = 2;
     waiting = true;
     // Generous: the pop, not the deadline, must end this wait.
-    EXPECT_TRUE(queue.push(0, second,
-                           QueueClock::now() + std::chrono::seconds(30)));
+    EXPECT_TRUE(
+        queue.push(second, QueueClock::now() + std::chrono::seconds(30)));
     consumer.join();
     int item = 0;
-    EXPECT_TRUE(queue.tryPop(0, item));
+    EXPECT_TRUE(queue.pop(item));
     EXPECT_EQ(item, 2);
 }
 
-TEST(ShardedWorkQueueTest, CloseWakesAPushWithNoDeadline)
+TEST(WorkQueueTest, CloseWakesAPushWithNoDeadline)
 {
-    ShardedWorkQueue<int> queue(1, 1);
-    ASSERT_TRUE(pushValue(queue, 0, 1));
+    WorkQueue<int> queue(1);
+    ASSERT_TRUE(pushValue(queue, 1));
     std::atomic<bool> returned{false};
     std::atomic<bool> accepted{true};
     std::thread producer([&] {
-        accepted = pushValue(queue, 0, 2); // Full: waits for close().
+        accepted = pushValue(queue, 2); // Full: waits for close().
         returned = true;
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -155,59 +185,42 @@ TEST(ShardedWorkQueueTest, CloseWakesAPushWithNoDeadline)
     producer.join();
     EXPECT_FALSE(accepted.load());
     int item = 0;
-    EXPECT_TRUE(queue.pop(0, item)); // The occupant still drains.
+    EXPECT_TRUE(queue.pop(item)); // The occupant still drains.
     EXPECT_EQ(item, 1);
-    EXPECT_FALSE(queue.pop(0, item));
+    EXPECT_FALSE(queue.pop(item));
 }
 
-TEST(ShardedWorkQueueTest, StealsFromOtherShards)
+TEST(WorkQueueTest, CloseDrainsAcceptedItems)
 {
-    ShardedWorkQueue<int> queue(4, 8);
-    EXPECT_TRUE(pushValue(queue, 0, 42));
-    int item = 0;
-    bool stolen = false;
-    // Home shard 2 is empty; the scan must find shard 0's item.
-    EXPECT_TRUE(queue.tryPop(2, item, &stolen));
-    EXPECT_EQ(item, 42);
-    EXPECT_TRUE(stolen);
-
-    EXPECT_TRUE(pushValue(queue, 1, 7));
-    EXPECT_TRUE(queue.pop(1, item, &stolen));
-    EXPECT_EQ(item, 7);
-    EXPECT_FALSE(stolen); // home hit
-}
-
-TEST(ShardedWorkQueueTest, CloseDrainsAcceptedItems)
-{
-    ShardedWorkQueue<int> queue(2, 8);
+    WorkQueue<int> queue(16);
     for (int i = 0; i < 6; ++i)
-        EXPECT_TRUE(pushValue(queue, static_cast<unsigned>(i), i));
+        EXPECT_TRUE(pushValue(queue, i));
     queue.close();
     int seen = 0;
     int item = 0;
-    while (queue.pop(0, item))
+    while (queue.pop(item))
         ++seen;
     EXPECT_EQ(seen, 6); // nothing accepted is lost on shutdown
 }
 
-TEST(ShardedWorkQueueTest, PopBlocksUntilPushOrClose)
+TEST(WorkQueueTest, PopBlocksUntilPushOrClose)
 {
-    ShardedWorkQueue<int> queue(1, 4);
+    WorkQueue<int> queue(4);
     std::atomic<int> got{-1};
     std::thread consumer([&] {
         int item = 0;
-        if (queue.pop(0, item))
+        if (queue.pop(item))
             got = item;
     });
     // The consumer parks; a push must wake it.
-    pushValue(queue, 0, 99);
+    pushValue(queue, 99);
     consumer.join();
     EXPECT_EQ(got.load(), 99);
 
     std::atomic<bool> returned{false};
     std::thread drained([&] {
         int item = 0;
-        EXPECT_FALSE(queue.pop(0, item));
+        EXPECT_FALSE(queue.pop(item));
         returned = true;
     });
     queue.close();
@@ -215,38 +228,38 @@ TEST(ShardedWorkQueueTest, PopBlocksUntilPushOrClose)
     EXPECT_TRUE(returned.load());
 }
 
-TEST(ShardedWorkQueueTest, NoDeadlinePushWaitsForRoom)
+TEST(WorkQueueTest, NoDeadlinePushWaitsForRoom)
 {
-    ShardedWorkQueue<int> queue(1, 1);
-    EXPECT_TRUE(pushValue(queue, 0, 1));
+    WorkQueue<int> queue(1);
+    EXPECT_TRUE(pushValue(queue, 1));
     std::atomic<bool> second_accepted{false};
     std::thread producer([&] {
-        // Waits on the full shard.
-        second_accepted = pushValue(queue, 0, 2);
+        // Waits on the full queue.
+        second_accepted = pushValue(queue, 2);
     });
     int item = 0;
-    EXPECT_TRUE(queue.pop(0, item));
+    EXPECT_TRUE(queue.pop(item));
     EXPECT_EQ(item, 1);
     producer.join();
     EXPECT_TRUE(second_accepted.load());
-    EXPECT_TRUE(queue.tryPop(0, item));
+    EXPECT_TRUE(queue.pop(item));
     EXPECT_EQ(item, 2);
 }
 
-TEST(ShardedWorkQueueTest, ConcurrentProducersConsumersLoseNothing)
+TEST(WorkQueueTest, ConcurrentProducersConsumersLoseNothing)
 {
     constexpr int kProducers = 4;
     constexpr int kConsumers = 4;
     constexpr int kPerProducer = 250;
-    ShardedWorkQueue<int> queue(kConsumers, 16);
+    WorkQueue<int> queue(kConsumers * 16);
     std::atomic<long> sum{0};
     std::atomic<long> count{0};
 
     std::vector<std::thread> consumers;
     for (int c = 0; c < kConsumers; ++c) {
-        consumers.emplace_back([&, c] {
+        consumers.emplace_back([&] {
             int item = 0;
-            while (queue.pop(static_cast<unsigned>(c), item)) {
+            while (queue.pop(item)) {
                 sum += item;
                 ++count;
             }
@@ -256,8 +269,7 @@ TEST(ShardedWorkQueueTest, ConcurrentProducersConsumersLoseNothing)
     for (int p = 0; p < kProducers; ++p) {
         producers.emplace_back([&, p] {
             for (int i = 0; i < kPerProducer; ++i)
-                pushValue(queue, static_cast<unsigned>(p),
-                          p * kPerProducer + i);
+                pushValue(queue, p * kPerProducer + i);
         });
     }
     for (auto &producer : producers)
@@ -524,7 +536,7 @@ TEST(CodecContextTest, LimitRejectLeavesNoOutputInEitherDirection)
     }
 }
 
-TEST(ReplayEngineTest, SmallBatchesAndFewShardsStillMatch)
+TEST(ReplayEngineTest, SmallBatchesAndTinyQueueStillMatch)
 {
     auto stream = buildMixedStream(smallStreamConfig());
     ASSERT_TRUE(stream.ok());
@@ -533,7 +545,7 @@ TEST(ReplayEngineTest, SmallBatchesAndFewShardsStillMatch)
     EngineConfig config;
     config.workers = 4;
     config.batchSize = 1;  // max queue traffic
-    config.shardCapacity = 2; // producer feels backpressure
+    config.queueCapacity = 8; // producer feels backpressure
     config.recordOutputs = true;
     ReplayEngine engine(config);
     expectReplayMatchesReference(engine.run(stream.value()), reference);
@@ -548,7 +560,7 @@ TEST(ReplayEngineTest, ShutdownDrainExecutesEveryAcceptedCall)
     ASSERT_TRUE(stream.ok());
     EngineConfig config;
     config.workers = 2;
-    config.shardCapacity = 1;
+    config.queueCapacity = 2;
     config.batchSize = 3;
     ReplayEngine engine(config);
     ReplayReport report = engine.run(stream.value());

@@ -364,12 +364,12 @@ TEST(MetricsSamplerTest, MergesMultipleRegistries)
     MetricsSampler sampler({&work, &runtime}, 4);
     work.withShard(0, [](auto &r) { r.counter("serve.calls").add(3); });
     runtime.withShard(0,
-                      [](auto &r) { r.counter("serve.steals").add(2); });
+                      [](auto &r) { r.counter("serve.batches").add(2); });
     sampler.sample(1);
     auto series = sampler.series();
     ASSERT_EQ(series.size(), 1u);
     EXPECT_EQ(series[0].delta.at("serve.calls"), 3u);
-    EXPECT_EQ(series[0].delta.at("serve.steals"), 2u);
+    EXPECT_EQ(series[0].delta.at("serve.batches"), 2u);
 }
 
 TEST(MetricsSamplerTest, SamplesWhileWorkersWriteConcurrently)
