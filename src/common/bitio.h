@@ -12,6 +12,19 @@
  * Both readers refill from memory one unaligned 64-bit word at a time
  * (common/mem.h) and only fall back to byte-stepping for streams
  * shorter than a word; refill counts land in mem::kernelStats().
+ *
+ * Reads cannot fail (zstd's BIT_DStream discipline). A read that runs
+ * past the end of the stream (its start, for BackwardBitReader) returns
+ * 0, pins the cursor there and latches overrun(); every later read also
+ * returns 0. Zero bits keep every table index a decoder forms from them
+ * in range, so a decoder may read ahead without a branch per symbol and
+ * ask overrun() once:
+ *  - once per stream, where a validated header bounds the number of
+ *    symbols (Huffman literals, FSE streams, ZstdLite sequences);
+ *  - before each append, where the stream itself drives the loop up to
+ *    an untrusted size claim (FlateLite symbols, Gipfeli literal runs
+ *    and copies). Zero bits there would decode as valid symbols and
+ *    keep a truncated frame producing output up to its claim.
  */
 
 #ifndef CDPU_COMMON_BITIO_H_
@@ -85,25 +98,17 @@ class BitReader
   public:
     explicit BitReader(ByteSpan data) : data_(data) {}
 
-    /** True when at least @p nbits remain. */
-    bool
-    hasBits(unsigned nbits) const
-    {
-        return bitPos_ + nbits <= data_.size() * 8;
-    }
-
-    /** Reads @p nbits (<= 56) LSB-first; corrupt if the stream is short. */
-    Result<u64>
+    /**
+     * Reads @p nbits (<= 56) LSB-first. Past the end it returns 0, pins
+     * the cursor at the end and latches overrun().
+     */
+    u64
     read(unsigned nbits)
     {
-        if (!hasBits(nbits))
-            return Status::corrupt("bit stream truncated");
-        u64 value = peekUnchecked(nbits);
-        bitPos_ += nbits;
+        const u64 value = fits(nbits) ? peekUnchecked(nbits) : 0;
+        advance(nbits);
         return value;
     }
-
-    u64 bitPos() const { return bitPos_; }
 
     /**
      * Returns the next @p nbits without consuming them; bits past the
@@ -119,17 +124,27 @@ class BitReader
         return take == 0 ? 0 : peekUnchecked(take);
     }
 
-    /** Consumes @p nbits; corrupt if fewer remain. */
-    Status
+    /** Consumes @p nbits; past the end it behaves like read(). */
+    void
     advance(unsigned nbits)
     {
-        if (!hasBits(nbits))
-            return Status::corrupt("bit stream truncated");
-        bitPos_ += nbits;
-        return Status::okStatus();
+        if (fits(nbits)) {
+            bitPos_ += nbits;
+        } else {
+            bitPos_ = data_.size() * 8;
+            overrun_ = true;
+        }
     }
 
+    /** True once any read or advance has run past the end. */
+    bool overrun() const { return overrun_; }
+
   private:
+    bool fits(unsigned nbits) const
+    {
+        return bitPos_ + nbits <= data_.size() * 8;
+    }
+
     /**
      * Extracts @p nbits starting at bit @p bitPos_ with a single
      * unaligned word load when the stream allows it. @pre nbits >= 1,
@@ -177,12 +192,13 @@ class BitReader
 
     ByteSpan data_;
     u64 bitPos_ = 0;
+    bool overrun_ = false;
 };
 
 /**
  * Reads a finish()ed BitWriter stream starting from the final bit.
  *
- * init() locates the terminating 1-bit in the last byte; subsequent read()
+ * open() locates the terminating 1-bit in the last byte; subsequent read()
  * calls return the most recently written bits first, which reverses the
  * encoder's order — the FSE decoder relies on this.
  */
@@ -210,19 +226,26 @@ class BackwardBitReader
     /** Bits still unread. */
     u64 bitsLeft() const { return bitsLeft_; }
 
+    /** True once any read has run past the start of the stream. */
+    bool overrun() const { return overrun_; }
+
     /**
      * Reads @p nbits in write order (the value reassembles exactly what
-     * BitWriter::put received). Reading past the start is corrupt.
+     * BitWriter::put received). Reading past the start returns 0, sets
+     * bitsLeft() to 0 and latches overrun().
      */
-    Result<u64>
+    u64
     read(unsigned nbits)
     {
         assert(nbits <= 56);
-        if (nbits > bitsLeft_)
-            return Status::corrupt("backward bit stream underflow");
+        if (nbits > bitsLeft_) {
+            bitsLeft_ = 0;
+            overrun_ = true;
+            return 0;
+        }
         bitsLeft_ -= nbits;
         if (nbits == 0)
-            return u64{0};
+            return 0;
         const u64 mask = (1ull << nbits) - 1;
         const std::size_t byte =
             static_cast<std::size_t>(bitsLeft_ >> 3);
@@ -261,6 +284,7 @@ class BackwardBitReader
   private:
     ByteSpan data_;
     u64 bitsLeft_ = 0;
+    bool overrun_ = false;
 };
 
 } // namespace cdpu

@@ -31,19 +31,6 @@ unpackLengths(ByteSpan packed, std::size_t count)
     return lengths;
 }
 
-/** Table-driven decode of one symbol from an LSB-first stream.
- *  Returns a 16-bit symbol (the lit/len alphabet exceeds a byte). */
-Result<u16>
-decodeSymbol(const huffman::Decoder &decoder, BitReader &reader)
-{
-    u32 prefix = static_cast<u32>(reader.peek(decoder.maxBits()));
-    const auto &entry = decoder.entryAt(prefix);
-    if (entry.length == 0)
-        return Status::corrupt("invalid flate code");
-    CDPU_RETURN_IF_ERROR(reader.advance(entry.length));
-    return entry.symbol;
-}
-
 } // namespace
 
 Status
@@ -144,47 +131,44 @@ decompressInto(ByteSpan data, Bytes &out, FileTrace *trace,
         pos += stream_bytes.value();
         block_trace.streamBytes = stream.size();
 
+        // The stream drives this loop up to regen_size, and zero bits
+        // past its end decode as valid symbols, so the reader is
+        // checked before every append, not once per block.
         BitReader reader(stream);
         std::size_t produced_before = out.size();
         std::size_t pending_literals = 0;
         for (;;) {
-            auto symbol = decodeSymbol(litlen_decoder.value(), reader);
-            if (!symbol.ok())
-                return symbol.status();
+            const auto &symbol = litlen_decoder.value().step(reader);
+            if (symbol.length == 0)
+                return Status::corrupt("invalid flate code");
+            if (reader.overrun())
+                return Status::corrupt("flate stream truncated");
             ++block_trace.symbolCount;
-            if (symbol.value() == kEndOfBlock)
+            if (symbol.symbol == kEndOfBlock)
                 break;
-            if (symbol.value() < 256) {
-                out.push_back(static_cast<u8>(symbol.value()));
+            if (symbol.symbol < 256) {
+                out.push_back(static_cast<u8>(symbol.symbol));
                 ++pending_literals;
                 ++block_trace.literalBytes;
                 if (out.size() - produced_before > regen_size)
                     return Status::corrupt("flate block overruns");
                 continue;
             }
-            auto len_bin = lengthFromCode(symbol.value());
-            if (!len_bin.ok())
-                return len_bin.status();
-            auto len_extra = reader.read(len_bin.value().extraBits);
-            if (!len_extra.ok())
-                return len_extra.status();
-            u32 length = len_bin.value().baseline +
-                         static_cast<u32>(len_extra.value());
+            const FlateBin len_bin = lengthFromCode(symbol.symbol);
+            u32 length = len_bin.baseline +
+                         static_cast<u32>(reader.read(len_bin.extraBits));
 
             if (!has_distances)
                 return Status::corrupt("match without distance table");
-            auto dist_symbol = decodeSymbol(dist_decoder, reader);
-            if (!dist_symbol.ok())
-                return dist_symbol.status();
+            const auto &dist_symbol = dist_decoder.step(reader);
+            if (dist_symbol.length == 0)
+                return Status::corrupt("invalid flate code");
             ++block_trace.symbolCount;
-            auto dist_bin = distanceFromCode(dist_symbol.value());
-            if (!dist_bin.ok())
-                return dist_bin.status();
-            auto dist_extra = reader.read(dist_bin.value().extraBits);
-            if (!dist_extra.ok())
-                return dist_extra.status();
-            u32 distance = dist_bin.value().baseline +
-                           static_cast<u32>(dist_extra.value());
+            const FlateBin dist_bin = distanceFromCode(dist_symbol.symbol);
+            u32 distance = dist_bin.baseline +
+                           static_cast<u32>(reader.read(dist_bin.extraBits));
+            if (reader.overrun())
+                return Status::corrupt("flate stream truncated");
 
             if (distance == 0 || distance > out.size())
                 return Status::corrupt("flate distance exceeds history");

@@ -1,5 +1,7 @@
 #include "flatelite/format.h"
 
+#include <cassert>
+
 #include "common/varint.h"
 
 namespace cdpu::flatelite
@@ -64,22 +66,20 @@ distanceBin(u32 distance)
     return {0, 0, 1};
 }
 
-Result<FlateBin>
+FlateBin
 lengthFromCode(u16 code)
 {
-    if (code < 257 || code > 285)
-        return Status::corrupt("length code out of range");
+    assert(code >= 257 && code < kLitLenAlphabet);
     const Spec &spec = kLengthSpecs[code - 257];
-    return FlateBin{code, spec.extraBits, spec.baseline};
+    return {code, spec.extraBits, spec.baseline};
 }
 
-Result<FlateBin>
+FlateBin
 distanceFromCode(u16 code)
 {
-    if (code >= kDistanceAlphabet)
-        return Status::corrupt("distance code out of range");
+    assert(code < kDistanceAlphabet);
     const Spec &spec = kDistanceSpecs[code];
-    return FlateBin{code, spec.extraBits, spec.baseline};
+    return {code, spec.extraBits, spec.baseline};
 }
 
 void

@@ -58,10 +58,12 @@ FlateBin lengthBin(u32 length);
 /** Maps a distance (1..32768) to its RFC 1951 distance code. */
 FlateBin distanceBin(u32 distance);
 
-/** Decoder side: baseline/extra bits for a lit/len code >= 257. */
-Result<FlateBin> lengthFromCode(u16 code);
-/** Decoder side: baseline/extra bits for a distance code. */
-Result<FlateBin> distanceFromCode(u16 code);
+/** Decoder side: baseline/extra bits for a lit/len code. @pre code is
+ *  257..285; the 286-symbol alphabet admits nothing larger. */
+FlateBin lengthFromCode(u16 code);
+/** Decoder side: baseline/extra bits for a distance code. @pre code is
+ *  below kDistanceAlphabet, the distance alphabet's size. */
+FlateBin distanceFromCode(u16 code);
 
 /** Frame header fields. */
 struct FrameHeader

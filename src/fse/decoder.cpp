@@ -4,47 +4,24 @@ namespace cdpu::fse
 {
 
 Status
-Decoder::initState(BackwardBitReader &reader)
-{
-    auto bits = reader.read(table_->tableLog);
-    if (!bits.ok())
-        return bits.status();
-    state_ = static_cast<u32>(bits.value());
-    return Status::okStatus();
-}
-
-Status
-Decoder::update(BackwardBitReader &reader)
-{
-    const DecodeEntry &entry = table_->entries[state_];
-    auto bits = reader.read(entry.nbBits);
-    if (!bits.ok())
-        return bits.status();
-    state_ = entry.nextStateBase + static_cast<u32>(bits.value());
-    return Status::okStatus();
-}
-
-Status
 decodeAll(const DecodeTable &table, BackwardBitReader &reader,
           std::size_t count, Bytes &out)
 {
     Decoder decoder(table);
-    CDPU_RETURN_IF_ERROR(decoder.initState(reader));
+    decoder.initState(reader);
     // Resize once and write by index; the count is known up front.
     const std::size_t start = out.size();
     out.resize(start + count);
     u8 *dst = out.data() + start;
     for (std::size_t i = 0; i < count; ++i) {
         dst[i] = decoder.peekSymbol();
-        Status updated = decoder.update(reader);
-        if (!updated.ok()) {
-            out.resize(start);
-            return updated;
-        }
+        decoder.update(reader);
     }
     if (!decoder.atCleanEnd(reader)) {
         out.resize(start);
-        return Status::corrupt("fse stream did not end cleanly");
+        return Status::corrupt(reader.overrun()
+                                   ? "fse stream truncated"
+                                   : "fse stream did not end cleanly");
     }
     return Status::okStatus();
 }

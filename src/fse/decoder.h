@@ -19,7 +19,11 @@ class Decoder
     explicit Decoder(const DecodeTable &table) : table_(&table) {}
 
     /** Reads the initial state (tableLog bits); call once, first. */
-    Status initState(BackwardBitReader &reader);
+    void
+    initState(BackwardBitReader &reader)
+    {
+        state_ = static_cast<u32>(reader.read(table_->tableLog));
+    }
 
     /** Current symbol, determined by the state alone (no bits read). */
     u8 peekSymbol() const { return table_->entries[state_].symbol; }
@@ -28,16 +32,23 @@ class Decoder
     unsigned nextBits() const { return table_->entries[state_].nbBits; }
 
     /** Advances the state by reading nbBits from @p reader. */
-    Status update(BackwardBitReader &reader);
+    void
+    update(BackwardBitReader &reader)
+    {
+        const DecodeEntry &entry = table_->entries[state_];
+        state_ = entry.nextStateBase +
+                 static_cast<u32>(reader.read(entry.nbBits));
+    }
 
     /**
      * True once the decoder has returned to the encoder's start state
-     * with no bits left — the stream-integrity check applied after the
-     * last expected symbol.
+     * with every bit consumed and none read past the start (an
+     * underflow also leaves bitsLeft() at 0) — the stream-integrity
+     * check applied after the last expected symbol.
      */
     bool atCleanEnd(const BackwardBitReader &reader) const
     {
-        return state_ == 0 && reader.bitsLeft() == 0;
+        return state_ == 0 && reader.bitsLeft() == 0 && !reader.overrun();
     }
 
   private:

@@ -77,31 +77,16 @@ putLiteral(BitWriter &writer, const LiteralCode &code, u8 byte)
     }
 }
 
-Result<u8>
+/** Reads one literal; past the end every read returns 0, which still
+ *  indexes a class table in range. */
+u8
 getLiteral(BitReader &reader, const LiteralCode &code)
 {
-    auto first = reader.read(1);
-    if (!first.ok())
-        return first.status();
-    if (first.value() == 0) {
-        auto index = reader.read(5);
-        if (!index.ok())
-            return index.status();
-        return code.classA[index.value()];
-    }
-    auto second = reader.read(1);
-    if (!second.ok())
-        return second.status();
-    if (second.value() == 0) {
-        auto index = reader.read(6);
-        if (!index.ok())
-            return index.status();
-        return code.classB[index.value()];
-    }
-    auto raw = reader.read(8);
-    if (!raw.ok())
-        return raw.status();
-    return static_cast<u8>(raw.value());
+    if (reader.read(1) == 0)
+        return code.classA[reader.read(5)];
+    if (reader.read(1) == 0)
+        return code.classB[reader.read(6)];
+    return static_cast<u8>(reader.read(8));
 }
 
 } // namespace
@@ -210,31 +195,27 @@ decompressInto(ByteSpan data, Bytes &out, u64 max_output_bytes)
     // Reserve conservatively: the claimed size is untrusted until the
     // stream fully decodes, so cap the up-front allocation.
     out.reserve(std::min<u64>(content_size.value(), 64 * kMiB));
+    // The stream drives this loop up to the claimed content size, and
+    // zero bits past its end decode as a literal run, so the reader is
+    // checked before every append, not once at the end.
     while (out.size() < content_size.value()) {
-        auto flag = reader.read(1);
-        if (!flag.ok())
-            return flag.status();
-        if (flag.value() == 0) {
-            auto count = reader.read(5);
-            if (!count.ok())
-                return count.status();
-            for (u64 i = 0; i <= count.value(); ++i) {
-                auto literal = getLiteral(reader, code);
-                if (!literal.ok())
-                    return literal.status();
-                out.push_back(literal.value());
+        if (reader.read(1) == 0) {
+            const u64 count = reader.read(5);
+            for (u64 i = 0; i <= count; ++i) {
+                const u8 literal = getLiteral(reader, code);
+                if (reader.overrun())
+                    return Status::corrupt("gipfeli stream truncated");
+                out.push_back(literal);
             }
         } else {
-            auto length = reader.read(6);
-            if (!length.ok())
-                return length.status();
-            auto offset = reader.read(16);
-            if (!offset.ok())
-                return offset.status();
-            if (offset.value() == 0 || offset.value() > out.size())
+            const u64 length = reader.read(6);
+            const u64 offset = reader.read(16);
+            if (reader.overrun())
+                return Status::corrupt("gipfeli stream truncated");
+            if (offset == 0 || offset > out.size())
                 return Status::corrupt("gipfeli offset exceeds history");
-            std::size_t from = out.size() - offset.value();
-            for (u64 i = 0; i < length.value() + kMinMatch; ++i)
+            std::size_t from = out.size() - offset;
+            for (u64 i = 0; i < length + kMinMatch; ++i)
                 out.push_back(out[from + i]);
         }
         if (out.size() > content_size.value())

@@ -66,37 +66,35 @@ Decoder::decode(BitReader &reader, std::size_t count, Bytes &out) const
     // The pair fast path runs on SIMD tiers only; the scalar tier
     // keeps the one-symbol-per-peek reference loop, which is what the
     // cross-tier byte-identity batteries compare against. Any window
-    // the pair table can't fuse — long codes, the stream tail, an
-    // invalid prefix — drops into the reference step for that symbol,
-    // so outputs AND error verdicts match the scalar path exactly.
+    // the pair table can't fuse — long codes, an invalid prefix —
+    // drops into step() for that symbol. The count bounds the loop, so
+    // truncation is checked once, after it, the same way on every tier.
     const bool fuse_pairs =
         kernels::activeTier() != kernels::Tier::scalar;
     std::size_t i = 0;
     while (i < count) {
-        // Peek a full maxBits window (zero-padded near the end) and
-        // advance by the matched code's length.
-        u32 prefix = static_cast<u32>(reader.peek(maxBits_));
         if (fuse_pairs && i + 1 < count) {
-            const PairEntry &pair = pairs_[prefix];
-            if (pair.count == 2 && reader.advance(pair.bits).ok()) {
+            const PairEntry &pair =
+                pairs_[static_cast<u32>(reader.peek(maxBits_))];
+            if (pair.count == 2) {
+                reader.advance(pair.bits);
                 dst[i] = pair.sym0;
                 dst[i + 1] = pair.sym1;
                 i += 2;
                 continue;
             }
         }
-        const Entry &entry = table_[prefix];
+        const Entry &entry = step(reader);
         if (entry.length == 0) {
             out.resize(start);
             return Status::corrupt("invalid huffman code");
         }
-        Status advanced = reader.advance(entry.length);
-        if (!advanced.ok()) {
-            out.resize(start);
-            return advanced;
-        }
         dst[i] = static_cast<u8>(entry.symbol);
         ++i;
+    }
+    if (reader.overrun()) {
+        out.resize(start);
+        return Status::corrupt("huffman stream truncated");
     }
     mem::kernelStats()
         .tierHuffSymbols[kernels::activeTierIndex()] += count;

@@ -32,14 +32,27 @@ class Decoder
 
     unsigned maxBits() const { return maxBits_; }
 
-    /** Table entry lookup for the CDPU model's per-lookup accounting. */
+    /** One decoded symbol and the code length it consumed. */
     struct Entry
     {
         u16 symbol = 0;
         u8 length = 0; ///< 0 marks an invalid prefix.
     };
 
-    const Entry &entryAt(u32 prefix) const { return table_[prefix]; }
+    /**
+     * Decodes one symbol: peeks a maxBits window (zero past the end)
+     * and advances by the matched code's length. An entry of length 0
+     * is a bit pattern with no assigned code and consumes nothing;
+     * running past the end latches reader.overrun().
+     */
+    const Entry &
+    step(BitReader &reader) const
+    {
+        const Entry &entry =
+            table_[static_cast<u32>(reader.peek(maxBits_))];
+        reader.advance(entry.length);
+        return entry;
+    }
 
     /** Constructs an empty decoder; use build() for a usable one. */
     Decoder() = default;
@@ -50,8 +63,7 @@ class Decoder
      * first code plus, when the following code also fits entirely
      * inside the same window, the second. count == 2 entries let the
      * hot loop emit two symbols per peek/advance; count <= 1 windows
-     * (long codes, invalid prefixes) fall back to the single-symbol
-     * step, which keeps error verdicts identical to the scalar path.
+     * (long codes, invalid prefixes) fall back to step().
      */
     struct PairEntry
     {

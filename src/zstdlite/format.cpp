@@ -1,5 +1,7 @@
 #include "zstdlite/format.h"
 
+#include <cassert>
+
 #include "common/histogram.h"
 #include "common/varint.h"
 
@@ -71,34 +73,31 @@ offsetBin(u32 value)
     return {code, code, 1u << code};
 }
 
-Result<CodeBin>
+CodeBin
 literalLengthFromCode(u8 code)
 {
+    assert(code < kNumLLCodes);
     if (code < 16)
-        return CodeBin{code, 0, code};
-    if (code >= kNumLLCodes)
-        return Status::corrupt("literal length code out of range");
+        return {code, 0, code};
     const BinSpec &spec = kLLBins[code - 16];
-    return CodeBin{code, spec.extraBits, spec.baseline};
+    return {code, spec.extraBits, spec.baseline};
 }
 
-Result<CodeBin>
+CodeBin
 matchLengthFromCode(u8 code)
 {
+    assert(code < kNumMLCodes);
     if (code < 32)
-        return CodeBin{code, 0, code + kMinMatchLength};
-    if (code >= kNumMLCodes)
-        return Status::corrupt("match length code out of range");
+        return {code, 0, code + kMinMatchLength};
     const BinSpec &spec = kMLBins[code - 32];
-    return CodeBin{code, spec.extraBits, spec.baseline};
+    return {code, spec.extraBits, spec.baseline};
 }
 
-Result<CodeBin>
+CodeBin
 offsetFromCode(u8 code)
 {
-    if (code >= kNumOFCodes)
-        return Status::corrupt("offset code out of range");
-    return CodeBin{code, code, 1u << code};
+    assert(code < kNumOFCodes);
+    return {code, code, 1u << code};
 }
 
 void

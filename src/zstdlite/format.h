@@ -112,10 +112,14 @@ CodeBin matchLengthBin(u32 value);
 /** Maps an offset (>= 1) to its power-of-two OF code. */
 CodeBin offsetBin(u32 value);
 
-/** Baseline + extra-bit count for a given code (decoder side). */
-Result<CodeBin> literalLengthFromCode(u8 code);
-Result<CodeBin> matchLengthFromCode(u8 code);
-Result<CodeBin> offsetFromCode(u8 code);
+/**
+ * Baseline + extra-bit count for a given code (decoder side).
+ * @pre code < kNumLLCodes / kNumMLCodes / kNumOFCodes; the sequence
+ * decoder rejects larger table alphabets before any code is looked up.
+ */
+CodeBin literalLengthFromCode(u8 code);
+CodeBin matchLengthFromCode(u8 code);
+CodeBin offsetFromCode(u8 code);
 
 /** Frame header fields. */
 struct FrameHeader

@@ -228,6 +228,8 @@ decodeSequencesSection(ByteSpan data, std::size_t &pos,
             return norm.status();
         ml_norm = std::move(norm).value();
     }
+    // Every decoded code is below its alphabet size, so this check is
+    // what keeps the *FromCode lookups in the loop below in range.
     if (ll_norm.alphabetSize() > kNumLLCodes ||
         of_norm.alphabetSize() > kNumOFCodes ||
         ml_norm.alphabetSize() > kNumMLCodes) {
@@ -253,58 +255,45 @@ decodeSequencesSection(ByteSpan data, std::size_t &pos,
     pos += stream_bytes.value();
     result.streamBytes = stream.size();
 
-    auto reader = BackwardBitReader::open(stream);
-    if (!reader.ok())
-        return reader.status();
+    auto opened = BackwardBitReader::open(stream);
+    if (!opened.ok())
+        return opened.status();
+    BackwardBitReader &reader = opened.value();
 
+    // num_sequences is bounded above, so the loop reads without a
+    // branch per field and checks the reader once, after it.
     fse::Decoder ll_dec(ll_table.value());
     fse::Decoder of_dec(of_table.value());
     fse::Decoder ml_dec(ml_table.value());
-    CDPU_RETURN_IF_ERROR(of_dec.initState(reader.value()));
-    CDPU_RETURN_IF_ERROR(ml_dec.initState(reader.value()));
-    CDPU_RETURN_IF_ERROR(ll_dec.initState(reader.value()));
+    of_dec.initState(reader);
+    ml_dec.initState(reader);
+    ll_dec.initState(reader);
 
     result.sequences.reserve(num_sequences);
     for (std::size_t i = 0; i < num_sequences; ++i) {
-        auto ll_bin = literalLengthFromCode(ll_dec.peekSymbol());
-        auto of_bin = offsetFromCode(of_dec.peekSymbol());
-        auto ml_bin = matchLengthFromCode(ml_dec.peekSymbol());
-        if (!ll_bin.ok())
-            return ll_bin.status();
-        if (!of_bin.ok())
-            return of_bin.status();
-        if (!ml_bin.ok())
-            return ml_bin.status();
-
-        CDPU_RETURN_IF_ERROR(ll_dec.update(reader.value()));
-        CDPU_RETURN_IF_ERROR(ml_dec.update(reader.value()));
-        CDPU_RETURN_IF_ERROR(of_dec.update(reader.value()));
-
-        auto of_extra = reader.value().read(of_bin.value().extraBits);
-        if (!of_extra.ok())
-            return of_extra.status();
-        auto ml_extra = reader.value().read(ml_bin.value().extraBits);
-        if (!ml_extra.ok())
-            return ml_extra.status();
-        auto ll_extra = reader.value().read(ll_bin.value().extraBits);
-        if (!ll_extra.ok())
-            return ll_extra.status();
+        const CodeBin ll_bin = literalLengthFromCode(ll_dec.peekSymbol());
+        const CodeBin of_bin = offsetFromCode(of_dec.peekSymbol());
+        const CodeBin ml_bin = matchLengthFromCode(ml_dec.peekSymbol());
+        ll_dec.update(reader);
+        ml_dec.update(reader);
+        of_dec.update(reader);
 
         lz77::Sequence seq;
-        seq.literalLength =
-            ll_bin.value().baseline + static_cast<u32>(ll_extra.value());
-        seq.matchLength =
-            ml_bin.value().baseline + static_cast<u32>(ml_extra.value());
         seq.offset =
-            of_bin.value().baseline + static_cast<u32>(of_extra.value());
+            of_bin.baseline + static_cast<u32>(reader.read(of_bin.extraBits));
+        seq.matchLength =
+            ml_bin.baseline + static_cast<u32>(reader.read(ml_bin.extraBits));
+        seq.literalLength =
+            ll_bin.baseline + static_cast<u32>(reader.read(ll_bin.extraBits));
         result.sequences.push_back(seq);
     }
 
-    if (reader.value().bitsLeft() != 0)
+    if (reader.overrun())
+        return Status::corrupt("sequence stream truncated");
+    if (reader.bitsLeft() != 0)
         return Status::corrupt("sequence stream has trailing bits");
-    if (!ll_dec.atCleanEnd(reader.value()) ||
-        !ml_dec.atCleanEnd(reader.value()) ||
-        !of_dec.atCleanEnd(reader.value())) {
+    if (!ll_dec.atCleanEnd(reader) || !ml_dec.atCleanEnd(reader) ||
+        !of_dec.atCleanEnd(reader)) {
         return Status::corrupt("sequence decoders not at clean end");
     }
     return result;

@@ -158,10 +158,11 @@ TEST(BitIoTest, ForwardRoundTrip)
     Bytes stream = writer.finish();
 
     BitReader reader(stream);
-    EXPECT_EQ(reader.read(3).value(), 0b101u);
-    EXPECT_EQ(reader.read(16).value(), 0xffffu);
-    EXPECT_EQ(reader.read(5).value(), 0u);
-    EXPECT_EQ(reader.read(48).value(), 0x123456789abull);
+    EXPECT_EQ(reader.read(3), 0b101u);
+    EXPECT_EQ(reader.read(16), 0xffffu);
+    EXPECT_EQ(reader.read(5), 0u);
+    EXPECT_EQ(reader.read(48), 0x123456789abull);
+    EXPECT_FALSE(reader.overrun());
 }
 
 TEST(BitIoTest, ForwardTruncationDetected)
@@ -170,9 +171,39 @@ TEST(BitIoTest, ForwardTruncationDetected)
     writer.put(0xff, 8);
     Bytes stream = writer.finish();
     BitReader reader(stream);
-    ASSERT_TRUE(reader.read(8).ok());
-    // Terminator adds < 8 further bits; a 64-bit read must fail.
-    EXPECT_FALSE(reader.read(56).ok());
+    EXPECT_EQ(reader.read(8), 0xffu);
+    EXPECT_FALSE(reader.overrun());
+    // Terminator adds < 8 further bits; a 56-bit read runs past the end.
+    EXPECT_EQ(reader.read(56), 0u);
+    EXPECT_TRUE(reader.overrun());
+}
+
+TEST(BitIoTest, ForwardOverrunStaysLatchedAndReadsZero)
+{
+    // 0xff bytes: any bit the reader really returned would be a 1.
+    Bytes stream(3, 0xff);
+    BitReader reader(stream);
+    EXPECT_EQ(reader.read(20), 0xfffffu);
+    EXPECT_EQ(reader.read(5), 0u); // 4 bits left: runs past the end
+    EXPECT_TRUE(reader.overrun());
+    // The cursor is pinned at the end: nothing is left to peek or read,
+    // even a read that would have fit before the overrun.
+    EXPECT_EQ(reader.peek(4), 0u);
+    EXPECT_EQ(reader.read(1), 0u);
+    reader.advance(1);
+    EXPECT_EQ(reader.read(0), 0u);
+    EXPECT_TRUE(reader.overrun());
+}
+
+TEST(BitIoTest, ForwardAdvancePastEndLatchesOverrun)
+{
+    Bytes stream(2, 0xff);
+    BitReader reader(stream);
+    reader.advance(16);
+    EXPECT_FALSE(reader.overrun());
+    reader.advance(1);
+    EXPECT_TRUE(reader.overrun());
+    EXPECT_EQ(reader.read(1), 0u);
 }
 
 TEST(BitIoTest, BackwardReaderReversesWriteOrder)
@@ -186,10 +217,11 @@ TEST(BitIoTest, BackwardReaderReversesWriteOrder)
     auto reader = BackwardBitReader::open(stream);
     ASSERT_TRUE(reader.ok());
     // Backward reader returns most recently written first.
-    EXPECT_EQ(reader.value().read(2).value(), 0x1u);
-    EXPECT_EQ(reader.value().read(7).value(), 0x3au);
-    EXPECT_EQ(reader.value().read(4).value(), 0x5u);
+    EXPECT_EQ(reader.value().read(2), 0x1u);
+    EXPECT_EQ(reader.value().read(7), 0x3au);
+    EXPECT_EQ(reader.value().read(4), 0x5u);
     EXPECT_EQ(reader.value().bitsLeft(), 0u);
+    EXPECT_FALSE(reader.value().overrun());
 }
 
 TEST(BitIoTest, BackwardUnderflowDetected)
@@ -199,7 +231,30 @@ TEST(BitIoTest, BackwardUnderflowDetected)
     Bytes stream = writer.finish();
     auto reader = BackwardBitReader::open(stream);
     ASSERT_TRUE(reader.ok());
-    EXPECT_FALSE(reader.value().read(10).ok());
+    EXPECT_EQ(reader.value().bitsLeft(), 3u);
+    EXPECT_EQ(reader.value().read(10), 0u);
+    // An underflow leaves no bits: only the flag tells it apart from a
+    // stream read exactly to its start.
+    EXPECT_EQ(reader.value().bitsLeft(), 0u);
+    EXPECT_TRUE(reader.value().overrun());
+}
+
+TEST(BitIoTest, BackwardOverrunStaysLatchedAndReadsZero)
+{
+    BitWriter writer;
+    writer.put(0x7f, 7);
+    writer.put(0x3, 2);
+    Bytes stream = writer.finish();
+    auto reader = BackwardBitReader::open(stream);
+    ASSERT_TRUE(reader.ok());
+    EXPECT_EQ(reader.value().read(2), 0x3u);
+    EXPECT_EQ(reader.value().read(8), 0u); // 7 bits left
+    EXPECT_TRUE(reader.value().overrun());
+    // The 7 bits the failed read skipped are gone too.
+    EXPECT_EQ(reader.value().read(7), 0u);
+    EXPECT_EQ(reader.value().read(0), 0u);
+    EXPECT_EQ(reader.value().bitsLeft(), 0u);
+    EXPECT_TRUE(reader.value().overrun());
 }
 
 TEST(BitIoTest, BackwardRejectsMissingTerminator)
@@ -277,7 +332,8 @@ TEST(MemTest, IncrementalCopyReplaysSmallOffsets)
 TEST(MemTest, KernelStatsAccumulateAndReset)
 {
     mem::kernelStats().reset();
-    Bytes src(16, 1);
+    // wildCopy may read up to kWildCopySlop - 1 bytes past src + n.
+    Bytes src(16 + mem::kWildCopySlop, 1);
     Bytes dst(16 + mem::kWildCopySlop, 0);
     mem::wildCopy(dst.data(), src.data(), 12);
     EXPECT_EQ(mem::kernelStats().wildCopyBytes, 12u);

@@ -301,12 +301,12 @@ TEST(BitIoFuzz, ForwardReaderMatchesByteSteppingReference)
                 rng.range(1, std::min<u64>(56, total - pos)));
             u64 expected = referenceExtractBits(stream, pos, nbits);
             EXPECT_EQ(reader.peek(nbits), expected);
-            auto got = reader.read(nbits);
-            ASSERT_TRUE(got.ok());
-            EXPECT_EQ(got.value(), expected);
+            EXPECT_EQ(reader.read(nbits), expected);
+            ASSERT_FALSE(reader.overrun());
             pos += nbits;
         }
-        EXPECT_FALSE(reader.read(1).ok());
+        EXPECT_EQ(reader.read(1), 0u);
+        EXPECT_TRUE(reader.overrun());
     }
 }
 
@@ -332,21 +332,18 @@ TEST(BitIoFuzz, RoundTripThroughWriterInBothDirections)
 
         // Forward: packets come back in write order.
         BitReader forward(stream);
-        for (const Packet &p : packets) {
-            auto got = forward.read(p.nbits);
-            ASSERT_TRUE(got.ok());
-            EXPECT_EQ(got.value(), p.value);
-        }
+        for (const Packet &p : packets)
+            EXPECT_EQ(forward.read(p.nbits), p.value);
+        EXPECT_FALSE(forward.overrun());
 
         // Backward: packets come back most-recent-first.
         auto backward = BackwardBitReader::open(stream);
         ASSERT_TRUE(backward.ok());
-        for (std::size_t i = packets.size(); i-- > 0;) {
-            auto got = backward.value().read(packets[i].nbits);
-            ASSERT_TRUE(got.ok());
-            EXPECT_EQ(got.value(), packets[i].value);
-        }
+        for (std::size_t i = packets.size(); i-- > 0;)
+            EXPECT_EQ(backward.value().read(packets[i].nbits),
+                      packets[i].value);
         EXPECT_EQ(backward.value().bitsLeft(), 0u);
+        EXPECT_FALSE(backward.value().overrun());
     }
 }
 

@@ -9,6 +9,7 @@
 
 #include "cdpu/area_model.h"
 #include "cdpu/flate_pu.h"
+#include "common/varint.h"
 #include "corpus/generators.h"
 #include "snappy/compress.h"
 #include "zstdlite/compress.h"
@@ -54,16 +55,18 @@ TEST(FlateBinsTest, CodeRoundTrips)
 {
     for (u32 len : {3u, 4u, 10u, 11u, 57u, 130u, 257u, 258u}) {
         FlateBin bin = lengthBin(len);
-        auto back = lengthFromCode(bin.code);
-        ASSERT_TRUE(back.ok());
-        EXPECT_LE(back.value().baseline, len);
-        EXPECT_LT(len - back.value().baseline,
-                  1u << back.value().extraBits |
-                      (back.value().extraBits == 0 ? 1u : 0u));
+        FlateBin back = lengthFromCode(bin.code);
+        EXPECT_EQ(back.baseline, bin.baseline);
+        EXPECT_LE(back.baseline, len);
+        EXPECT_LT(len - back.baseline,
+                  1u << back.extraBits | (back.extraBits == 0 ? 1u : 0u));
     }
-    EXPECT_FALSE(lengthFromCode(256).ok());
-    EXPECT_FALSE(lengthFromCode(286).ok());
-    EXPECT_FALSE(distanceFromCode(30).ok());
+    for (u32 dist : {1u, 4u, 5u, 100u, 24577u, 32768u}) {
+        FlateBin bin = distanceBin(dist);
+        FlateBin back = distanceFromCode(bin.code);
+        EXPECT_EQ(back.baseline, bin.baseline);
+        EXPECT_EQ(back.extraBits, bin.extraBits);
+    }
 }
 
 TEST(FlateLiteTest, EmptyInput)
@@ -155,6 +158,47 @@ TEST(FlateLiteCorruptionTest, TruncationRejected)
         std::size_t keep = rng.below(compressed.size());
         Bytes cut(compressed.begin(), compressed.begin() + keep);
         EXPECT_FALSE(decompress(cut).ok());
+    }
+}
+
+TEST(FlateLiteCorruptionTest, ShortStreamStopsAtItsEndNotAtTheClaim)
+{
+    // One compressed block whose bit-stream length is cut to half while
+    // its regenSize and the frame's contentSize are raised to 16 MiB.
+    // Zero bits past the cut would still decode as symbols, so the
+    // decoder must stop at the end of the stream: what it appended
+    // before the failure is a prefix of the payload.
+    Rng rng(41);
+    Bytes data = corpus::generate(corpus::DataClass::textLike, 8 * kKiB, rng);
+    Bytes frame = mustCompress(data);
+    std::size_t pos = 0;
+    auto header = readFrameHeader(frame, pos);
+    ASSERT_TRUE(header.ok());
+    ASSERT_EQ(frame[pos++], 3) << "expected one last compressed block";
+    ASSERT_EQ(getVarint(frame, pos).value(), data.size());
+    const std::size_t tables_start = pos;
+    pos += (kLitLenAlphabet + 1) / 2 + kDistanceAlphabet / 2;
+    const std::size_t tables_end = pos;
+    const u64 stream_bytes = getVarint(frame, pos).value();
+    ASSERT_EQ(pos + stream_bytes, frame.size());
+
+    for (u64 kept : {u64{1}, stream_bytes / 2, stream_bytes - 1}) {
+        Bytes tampered;
+        writeFrameHeader({header.value().windowLog, 16 * kMiB}, tampered);
+        tampered.push_back(3);
+        putVarint(tampered, 16 * kMiB);
+        tampered.insert(tampered.end(), frame.begin() + tables_start,
+                        frame.begin() + tables_end);
+        putVarint(tampered, kept);
+        tampered.insert(tampered.end(), frame.begin() + pos, frame.end());
+
+        Bytes out;
+        Status status = decompressInto(tampered, out);
+        EXPECT_EQ(failureClass(status), FailureClass::dataError)
+            << kept << ": " << status.toString();
+        ASSERT_LE(out.size(), data.size()) << kept;
+        EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin()))
+            << kept;
     }
 }
 

@@ -332,17 +332,18 @@ TEST(StreamTest, InterleavedStreamsRoundTrip)
     Decoder dec_c(dc);
     Decoder dec_b(db);
     Decoder dec_a(da);
-    ASSERT_TRUE(dec_c.initState(reader.value()).ok());
-    ASSERT_TRUE(dec_b.initState(reader.value()).ok());
-    ASSERT_TRUE(dec_a.initState(reader.value()).ok());
+    dec_c.initState(reader.value());
+    dec_b.initState(reader.value());
+    dec_a.initState(reader.value());
     for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(dec_a.peekSymbol(), a[i]);
         EXPECT_EQ(dec_b.peekSymbol(), b[i]);
         EXPECT_EQ(dec_c.peekSymbol(), c[i]);
-        ASSERT_TRUE(dec_a.update(reader.value()).ok());
-        ASSERT_TRUE(dec_b.update(reader.value()).ok());
-        ASSERT_TRUE(dec_c.update(reader.value()).ok());
+        dec_a.update(reader.value());
+        dec_b.update(reader.value());
+        dec_c.update(reader.value());
     }
+    EXPECT_FALSE(reader.value().overrun());
     EXPECT_TRUE(dec_a.atCleanEnd(reader.value()));
 }
 
@@ -397,6 +398,54 @@ TEST(CorruptionTest, WrongSymbolCountFailsCleanEndCheck)
     // Ask for fewer symbols than encoded: bits remain -> not clean.
     EXPECT_FALSE(
         decodeAll(dec.value(), reader.value(), 50, out).ok());
+}
+
+TEST(CorruptionTest, MoreSymbolsThanEncodedFails)
+{
+    Bytes symbols(100, 1);
+    for (int i = 0; i < 50; ++i)
+        symbols[i * 2] = 0;
+    auto freqs = frequencies(symbols, 2);
+    auto norm = normalizeCounts(freqs, 6);
+    auto enc = buildEncodeTable(norm.value());
+    auto dec = buildDecodeTable(norm.value());
+    BitWriter writer;
+    ASSERT_TRUE(encodeAll(enc.value(), symbols, writer).ok());
+    Bytes stream = writer.finish();
+
+    // Ask for more symbols than encoded: the extra updates read past
+    // the start of the stream, and the decode must not pass for a
+    // clean end even though bitsLeft() reads 0 afterwards.
+    for (std::size_t extra : {1u, 2u, 1000u}) {
+        auto reader = BackwardBitReader::open(stream);
+        ASSERT_TRUE(reader.ok());
+        Bytes out = {7};
+        Status status = decodeAll(dec.value(), reader.value(),
+                                  symbols.size() + extra, out);
+        EXPECT_EQ(status.code(), StatusCode::corruptData) << extra;
+        EXPECT_TRUE(reader.value().overrun()) << extra;
+        EXPECT_EQ(reader.value().bitsLeft(), 0u) << extra;
+        // A failed decode leaves what the caller already had.
+        EXPECT_EQ(out, Bytes{7}) << extra;
+    }
+}
+
+TEST(CorruptionTest, UnderflowIsNotACleanEnd)
+{
+    auto counts = normalizeCounts({3, 1}, 5);
+    ASSERT_TRUE(counts.ok());
+    auto table = buildDecodeTable(counts.value());
+    ASSERT_TRUE(table.ok());
+    // A stream holding only the terminator: the initial state read
+    // underflows, leaving state 0 and bitsLeft() == 0.
+    Bytes stream = {0x01};
+    auto reader = BackwardBitReader::open(stream);
+    ASSERT_TRUE(reader.ok());
+    Decoder decoder(table.value());
+    decoder.initState(reader.value());
+    EXPECT_TRUE(reader.value().overrun());
+    EXPECT_EQ(reader.value().bitsLeft(), 0u);
+    EXPECT_FALSE(decoder.atCleanEnd(reader.value()));
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/varint.h"
 #include "corpus/generators.h"
 #include "gipfeli/gipfeli.h"
 #include "snappy/compress.h"
@@ -83,6 +84,51 @@ TEST(GipfeliTest, CorruptionNeverCrashes)
         std::size_t keep = rng.below(compressed.size());
         Bytes cut(compressed.begin(), compressed.begin() + keep);
         EXPECT_FALSE(decompress(cut).ok());
+    }
+}
+
+TEST(GipfeliTest, StreamShorterThanClaimStopsAtItsEnd)
+{
+    // A valid frame whose content-size claim is raised to 16 MiB, whole
+    // and with its stream cut short: the stream runs out long before
+    // the claim. Zero bits past its end would decode as literals, so
+    // the decoder must stop at the end of the stream, having appended
+    // only a prefix of the payload (all of it when the stream is whole).
+    Rng rng(19);
+    for (auto cls : {corpus::DataClass::textLike,
+                     corpus::DataClass::logLike,
+                     corpus::DataClass::randomBytes}) {
+        Bytes data = corpus::generate(cls, 4 * kKiB, rng);
+        Bytes frame = compress(data);
+        std::size_t pos = kMagic.size();
+        ASSERT_EQ(getVarint(frame, pos).value(), data.size());
+        const std::size_t tables_start = pos;
+        pos += 96;
+        const std::size_t tables_end = pos;
+        const u64 stream_bytes = getVarint(frame, pos).value();
+        ASSERT_EQ(pos + stream_bytes, frame.size());
+
+        for (u64 kept : {stream_bytes, stream_bytes / 2, stream_bytes / 3,
+                         u64{1}}) {
+            Bytes tampered(kMagic.begin(), kMagic.end());
+            putVarint(tampered, 16 * kMiB);
+            tampered.insert(tampered.end(), frame.begin() + tables_start,
+                            frame.begin() + tables_end);
+            putVarint(tampered, kept);
+            tampered.insert(tampered.end(), frame.begin() + pos,
+                            frame.begin() + pos + kept);
+
+            Bytes out;
+            Status status = decompressInto(tampered, out);
+            EXPECT_EQ(failureClass(status), FailureClass::dataError)
+                << kept << ": " << status.toString();
+            ASSERT_LE(out.size(), data.size()) << kept;
+            EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin()))
+                << kept;
+            if (kept == stream_bytes) {
+                EXPECT_EQ(out.size(), data.size());
+            }
+        }
     }
 }
 

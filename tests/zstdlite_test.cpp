@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/varint.h"
 #include "corpus/generators.h"
 #include "snappy/compress.h"
 #include "zstdlite/compress.h"
 #include "zstdlite/decompress.h"
+#include "zstdlite/literals.h"
 #include "zstdlite/sequences.h"
 
 namespace cdpu::zstdlite
@@ -77,23 +79,26 @@ TEST(CodeBinTest, RoundTripAllBinsThroughCodes)
 {
     for (u32 v : {0u, 1u, 15u, 16u, 17u, 100u, 5000u, 131000u}) {
         CodeBin bin = literalLengthBin(v);
-        auto back = literalLengthFromCode(bin.code);
-        ASSERT_TRUE(back.ok());
-        EXPECT_EQ(back.value().baseline, bin.baseline);
-        EXPECT_EQ(back.value().extraBits, bin.extraBits);
+        CodeBin back = literalLengthFromCode(bin.code);
+        EXPECT_EQ(back.baseline, bin.baseline);
+        EXPECT_EQ(back.extraBits, bin.extraBits);
         EXPECT_LE(bin.baseline, v);
         EXPECT_LT(v - bin.baseline, 1u << bin.extraBits |
                   (bin.extraBits == 0 ? 1u : 0u));
     }
     for (u32 v : {3u, 4u, 34u, 35u, 1000u, 131074u}) {
         CodeBin bin = matchLengthBin(v);
-        auto back = matchLengthFromCode(bin.code);
-        ASSERT_TRUE(back.ok());
+        CodeBin back = matchLengthFromCode(bin.code);
+        EXPECT_EQ(back.baseline, bin.baseline);
+        EXPECT_EQ(back.extraBits, bin.extraBits);
         EXPECT_LE(bin.baseline, v);
     }
-    EXPECT_FALSE(literalLengthFromCode(36).ok());
-    EXPECT_FALSE(matchLengthFromCode(53).ok());
-    EXPECT_FALSE(offsetFromCode(28).ok());
+    for (u32 v : {1u, 2u, 3u, 1000u, 65536u, (1u << 27) + 5}) {
+        CodeBin bin = offsetBin(v);
+        CodeBin back = offsetFromCode(bin.code);
+        EXPECT_EQ(back.baseline, bin.baseline);
+        EXPECT_EQ(back.extraBits, bin.extraBits);
+    }
 }
 
 // --- Frame structure -----------------------------------------------------
@@ -316,6 +321,126 @@ class ZstdLiteCorruption : public ::testing::Test
     Bytes data_;
     Bytes compressed_;
 };
+
+/**
+ * A single-block frame split at the fields of its sequences section, so
+ * a test can tamper with one field and reassemble the rest verbatim.
+ */
+struct SequenceSectionParts
+{
+    Bytes prefix;   ///< Frame header, block header byte, regen size.
+    Bytes literals; ///< The literals section.
+    u64 count = 0;
+    u8 modes = 0;
+    std::vector<fse::NormalizedCounts> tables; ///< Dynamic: LL, OF, ML.
+    Bytes stream;
+
+    Bytes
+    assemble() const
+    {
+        Bytes body = literals;
+        putVarint(body, count);
+        body.push_back(modes);
+        for (const auto &table : tables)
+            fse::serializeCounts(table, body);
+        putVarint(body, stream.size());
+        body.insert(body.end(), stream.begin(), stream.end());
+        Bytes frame = prefix;
+        putVarint(frame, body.size());
+        frame.insert(frame.end(), body.begin(), body.end());
+        return frame;
+    }
+};
+
+SequenceSectionParts
+splitSingleBlockFrame(const Bytes &frame)
+{
+    SequenceSectionParts parts;
+    std::size_t pos = 0;
+    EXPECT_TRUE(readFrameHeader(frame, pos).ok());
+    EXPECT_EQ(frame[pos], 0x05) << "expected one last compressed block";
+    ++pos;
+    EXPECT_TRUE(getVarint(frame, pos).ok());
+    parts.prefix.assign(frame.begin(), frame.begin() + pos);
+    const u64 body_size = getVarint(frame, pos).value();
+    EXPECT_EQ(pos + body_size, frame.size());
+    ByteSpan body = ByteSpan(frame).subspan(pos);
+
+    std::size_t at = 0;
+    EXPECT_TRUE(decodeLiteralsSection(body, at, kMaxBlockRegenSize).ok());
+    parts.literals.assign(body.begin(), body.begin() + at);
+    parts.count = getVarint(body, at).value();
+    parts.modes = body[at++];
+    for (unsigned shift : {0u, 2u, 4u}) {
+        if (((parts.modes >> shift) & 3) ==
+            static_cast<u8>(TableMode::dynamic))
+            parts.tables.push_back(fse::deserializeCounts(body, at).value());
+    }
+    const u64 stream_size = getVarint(body, at).value();
+    EXPECT_EQ(at + stream_size, body.size());
+    parts.stream.assign(body.begin() + at, body.end());
+    return parts;
+}
+
+/** One block of text, with enough sequences for dynamic tables. */
+Bytes
+dynamicTableInput()
+{
+    Rng rng(47);
+    return corpus::generate(corpus::DataClass::textLike, 16 * kKiB, rng);
+}
+
+TEST(SequenceSectionTest, OversizedDynamicAlphabetRejected)
+{
+    Bytes data = dynamicTableInput();
+    Bytes frame = mustCompress(data);
+    SequenceSectionParts parts = splitSingleBlockFrame(frame);
+    ASSERT_EQ(parts.tables.size(), 3u) << "expected LL, OF, ML dynamic";
+    ASSERT_EQ(parts.assemble(), frame);
+
+    // Zero counts past the used codes leave the decode table as it was,
+    // so each tampered frame decodes to the input if the alphabet check
+    // is missing. At exactly kNum*Codes it must still decode; one more
+    // is corrupt. The check is what keeps every decoded code in range
+    // of the *FromCode lookups.
+    const std::size_t limits[] = {kNumLLCodes, kNumOFCodes, kNumMLCodes};
+    for (std::size_t i = 0; i < 3; ++i) {
+        ASSERT_LE(parts.tables[i].alphabetSize(), limits[i]);
+        SequenceSectionParts padded = parts;
+        padded.tables[i].counts.resize(limits[i], 0);
+        auto at_limit = decompress(padded.assemble());
+        ASSERT_TRUE(at_limit.ok()) << i << ": "
+                                   << at_limit.status().toString();
+        EXPECT_EQ(at_limit.value(), data);
+
+        padded.tables[i].counts.push_back(0);
+        auto over = decompress(padded.assemble());
+        EXPECT_EQ(failureClass(over.status()), FailureClass::dataError)
+            << i << ": " << over.status().toString();
+    }
+}
+
+TEST(SequenceSectionTest, TruncatedSequenceStreamProducesNoOutput)
+{
+    SequenceSectionParts parts =
+        splitSingleBlockFrame(mustCompress(dynamicTableInput()));
+    // The backward reader starts at the stream's last byte, so dropping
+    // the front keeps the terminator and the reader runs dry mid-block.
+    for (std::size_t cut : {std::size_t{1}, parts.stream.size() / 2,
+                            parts.stream.size() - 1}) {
+        SequenceSectionParts truncated = parts;
+        truncated.stream.erase(truncated.stream.begin(),
+                               truncated.stream.begin() +
+                                   static_cast<std::ptrdiff_t>(cut));
+        Bytes out;
+        Status status = decompressInto(truncated.assemble(), out);
+        EXPECT_EQ(failureClass(status), FailureClass::dataError)
+            << cut << ": " << status.toString();
+        // Sequences decode in full before the block executes, so a
+        // failed decode appends nothing.
+        EXPECT_TRUE(out.empty()) << cut << ": " << out.size();
+    }
+}
 
 TEST_F(ZstdLiteCorruption, TruncationAlwaysRejected)
 {
